@@ -1,12 +1,14 @@
 """Fitting and applying the three calibration methods.
 
-Temperature scaling (TS) tunes one scalar by bounded scalar search on the
-validation NLL. Class-wise temperature scaling (CTS) ties one temperature per
-predicted class to a shared temperature within radius gamma: gamma = 0
-collapses to TS, gamma = inf decouples the classes into independent scalar
-searches, and finite gamma runs projected gradient descent on the joint
-objective. Vector scaling (VS) fits a per-class scale and bias by gradient
-descent and may change predictions; temperature variants never do.
+Temperature scaling (TS) tunes one scalar by a bounded convex scalar search
+on the validation NLL. Class-wise temperature scaling (CTS) ties one
+temperature per predicted class to the shared TS temperature alpha0 within
+radius gamma. With alpha0 fixed the CTS objective splits by predicted class,
+so every gamma runs the same scalar search once per predicted-class slice on
+[max(alpha0 - gamma, alpha_lo), alpha0 + gamma]: gamma = 0 collapses to TS
+and gamma = inf searches the full bounds. Vector scaling (VS) fits a
+per-class scale and bias by gradient descent and may change predictions;
+temperature variants never do.
 """
 
 from __future__ import annotations
@@ -115,20 +117,26 @@ def _boundary_warnings(name: str, alpha: float, cfg: FitConfig) -> list[str]:
 
 
 def _scalar_fit(
-    val: LogitDataset, cfg: FitConfig, indices: np.ndarray | None = None
-) -> tuple[float, float, int]:
-    """Scalar temperature search on (a slice of) the validation NLL."""
+    val: LogitDataset,
+    cfg: FitConfig,
+    bounds: tuple[float, float] | None = None,
+    indices: np.ndarray | None = None,
+) -> tuple[float, int]:
+    """Temperature minimizing (a slice of) the validation NLL, and the evaluations used.
+
+    Every search starts at alpha = 1, so a slice's result depends only on
+    that slice. `bounds` defaults to [alpha_lo, alpha_hi].
+    """
+    lo, hi = bounds if bounds is not None else (cfg.alpha_lo, cfg.alpha_hi)
     evals = 0
 
-    def objective(alpha: float) -> float:
+    def objective(alpha: float) -> tuple[float, float, float]:
         nonlocal evals
         evals += 1
         return temperature_nll(val, alpha, indices)
 
-    alpha, fval = minimize_scalar(
-        ScalarProblem(objective, cfg.alpha_lo, cfg.alpha_hi, tol=cfg.scalar_tol)
-    )
-    return alpha, fval, evals
+    alpha, _ = minimize_scalar(ScalarProblem(objective, lo, hi, tol=cfg.scalar_tol))
+    return alpha, evals
 
 
 def _finish(model, val, evals, fallbacks, warnings) -> FitResult:
@@ -149,92 +157,46 @@ def fit_ts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit temperature scaling by minimizing validation NLL over [alpha_lo, alpha_hi]."""
     if val.num_records == 0:
         raise EmptyDatasetError("cannot fit on an empty validation set")
-    alpha, _, evals = _scalar_fit(val, cfg)
+    alpha, evals = _scalar_fit(val, cfg)
     return _finish(Temperature(alpha), val, evals, [], _boundary_warnings("TS", alpha, cfg))
 
 
 def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit class-wise temperature scaling under the configured gamma.
 
-    gamma = 0 copies the TS solution into every class. gamma = inf fits each
-    predicted-class slice independently, falling back to the shared TS
-    temperature (and flagging the class) when a slice has fewer than
-    `min_class_samples` records. Finite gamma > 0 runs projected gradient
-    descent jointly over (alpha0, alpha_1..alpha_K), initialized at the TS
-    solution; the projection clamps alpha0 into its bounds first and then
-    clamps each alpha_k into [alpha0 - gamma, alpha0 + gamma] (floored at
-    alpha_lo so temperatures stay positive).
+    alpha0 is the TS solution. Each non-empty predicted-class slice then gets
+    its own temperature, minimizing that slice's NLL on
+    [max(alpha0 - gamma, alpha_lo), alpha0 + gamma] (on [alpha_lo, alpha_hi]
+    when gamma = inf); this is the joint optimum, because the objective is a
+    sum of per-slice terms. Empty slices keep alpha0, and gamma = 0 copies
+    alpha0 into every class. At gamma = inf a slice with fewer than
+    `min_class_samples` records also keeps alpha0 and is flagged as a
+    fallback.
     """
     if val.num_records == 0:
         raise EmptyDatasetError("cannot fit on an empty validation set")
-    k = val.num_classes
-    alpha0, _, evals = _scalar_fit(val, cfg)
+    alpha0, evals = _scalar_fit(val, cfg)
     warnings = _boundary_warnings("CTS shared", alpha0, cfg)
+    decoupled = math.isinf(cfg.gamma)
+    if decoupled:
+        bounds = (cfg.alpha_lo, cfg.alpha_hi)
+    else:
+        bounds = (max(alpha0 - cfg.gamma, cfg.alpha_lo), alpha0 + cfg.gamma)
 
-    if cfg.gamma == 0:
-        model = ClassWiseTemperature(alpha0, np.full(k, alpha0), 0.0)
-        return _finish(model, val, evals, [], warnings)
-
-    preds = predict(val, Identity())
-    slices = split_by_predicted(preds)
-
-    if math.isinf(cfg.gamma):
-        alphas = np.full(k, alpha0)
-        fallbacks = []
-        for s in slices:
-            if s.count < cfg.min_class_samples:
+    alphas = np.full(val.num_classes, alpha0)
+    fallbacks = []
+    if bounds[0] < bounds[1]:
+        for s in split_by_predicted(predict(val, Identity())):
+            if decoupled and s.count < cfg.min_class_samples:
                 fallbacks.append(s.class_index)
                 continue
-            alpha_k, _, used = _scalar_fit(val, cfg, s.indices)
-            alphas[s.class_index] = alpha_k
+            if s.count == 0:
+                continue
+            alphas[s.class_index], used = _scalar_fit(val, cfg, bounds, s.indices)
             evals += used
-            warnings += _boundary_warnings(f"CTS class {s.class_index}", alpha_k, cfg)
-        model = ClassWiseTemperature(alpha0, alphas, math.inf)
-        return _finish(model, val, evals, fallbacks, warnings)
-
-    # Finite gamma: joint projected GD over (alpha0, alphas). The objective
-    # does not depend on alpha0 directly (it only anchors the constraint), so
-    # alpha0 stays at the TS optimum.
-    z = val.logits
-    y = val.labels
-    rows = np.arange(val.num_records)
-    pred = np.asarray(preds.predicted)
-
-    def objective(x: np.ndarray) -> float:
-        zs = x[1:][pred][:, None] * z
-        m = zs.max(axis=1, keepdims=True)
-        logp = (zs - m)[rows, y] - np.log(np.exp(zs - m).sum(axis=1))
-        return float(-np.mean(logp))
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        zs = x[1:][pred][:, None] * z
-        p = softmax(zs)
-        per_record = (p * z).sum(axis=1) - z[rows, y]
-        g = np.zeros(k + 1)
-        g[1:] = np.bincount(pred, weights=per_record, minlength=k) / val.num_records
-        return g
-
-    def project(x: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        out[0] = np.clip(out[0], cfg.alpha_lo, cfg.alpha_hi)
-        lo = max(out[0] - cfg.gamma, cfg.alpha_lo)
-        out[1:] = np.clip(out[1:], lo, out[0] + cfg.gamma)
-        return out
-
-    x0 = np.full(k + 1, alpha0)
-    result = projected_gd(
-        GradientProblem(
-            objective=objective,
-            gradient=gradient,
-            project=project,
-            x0=x0,
-            step_size=cfg.step_size,
-            max_iters=cfg.max_iters,
-            improvement_tol=cfg.improvement_tol,
-        )
-    )
-    model = ClassWiseTemperature(result.x[0], result.x[1:], cfg.gamma)
-    return _finish(model, val, evals + result.iterations, [], warnings)
+            warnings += _boundary_warnings(f"CTS class {s.class_index}", alphas[s.class_index], cfg)
+    model = ClassWiseTemperature(alpha0, alphas, cfg.gamma)
+    return _finish(model, val, evals, fallbacks, warnings)
 
 
 def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
@@ -248,7 +210,7 @@ def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     if val.num_records == 0:
         raise EmptyDatasetError("cannot fit on an empty validation set")
     k = val.num_classes
-    alpha_ts, _, evals = _scalar_fit(val, cfg)
+    alpha_ts, evals = _scalar_fit(val, cfg)
 
     def objective(x: np.ndarray) -> float:
         return vector_nll(val, x[:k], x[k:])
@@ -326,27 +288,28 @@ def model_to_dict(model: CalibrationModel, num_classes: int) -> dict:
 def model_from_dict(doc: dict) -> tuple[CalibrationModel, int]:
     """Parse a model document back into a (model, num_classes) pair.
 
-    Model invariants are re-validated by the constructors.
+    Model invariants are re-validated by the constructors. A missing field,
+    or a field of the wrong type or shape, raises InvalidModelError.
     """
     try:
         method = doc["method"]
         num_classes = int(doc["num_classes"])
+        if method == "none":
+            return Identity(), num_classes
+        if method == "ts":
+            return Temperature(float(doc["alpha"])), num_classes
+        if method == "cts":
+            gamma = doc["gamma"]
+            gamma = math.inf if gamma == "inf" else float(gamma)
+            model = ClassWiseTemperature(
+                float(doc["alpha0"]), np.asarray(doc["alphas"], dtype=np.float64), gamma
+            )
+        elif method == "vs":
+            model = Vector(np.asarray(doc["a"], dtype=np.float64), np.asarray(doc["b"], dtype=np.float64))
+        else:
+            raise InvalidModelError(f"unknown method {method!r}")
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidModelError(f"malformed model document: {exc}") from exc
-    if method == "none":
-        return Identity(), num_classes
-    if method == "ts":
-        return Temperature(float(doc["alpha"])), num_classes
-    if method == "cts":
-        gamma = doc["gamma"]
-        gamma = math.inf if gamma == "inf" else float(gamma)
-        model = ClassWiseTemperature(float(doc["alpha0"]), np.asarray(doc["alphas"], dtype=np.float64), gamma)
-        if model.num_classes != num_classes:
-            raise InvalidModelError("alphas length disagrees with num_classes")
-        return model, num_classes
-    if method == "vs":
-        model = Vector(np.asarray(doc["a"], dtype=np.float64), np.asarray(doc["b"], dtype=np.float64))
-        if model.num_classes != num_classes:
-            raise InvalidModelError("scale length disagrees with num_classes")
-        return model, num_classes
-    raise InvalidModelError(f"unknown method {method!r}")
+        raise InvalidModelError(f"malformed model document: {type(exc).__name__}: {exc}") from exc
+    if model.num_classes != num_classes:
+        raise InvalidModelError(f"{method} parameters disagree with num_classes {num_classes}")
+    return model, num_classes

@@ -28,14 +28,10 @@ __all__ = [
     "Vector",
     "CalibrationModel",
     "softmax",
-    "log_softmax",
     "argmax_tiebreak",
     "predict",
     "split_by_predicted",
 ]
-
-# Floor for log-probabilities; only reachable on adversarial logit spreads.
-LOG_PROB_FLOOR = -700.0
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -50,16 +46,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log of softmax computed entirely in log space (no log(0) underflow)."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError("log_softmax input contains NaN or Inf")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return np.maximum(logp, LOG_PROB_FLOOR)
 
 
 def argmax_tiebreak(probs: np.ndarray) -> int:

@@ -117,8 +117,12 @@ def write_reliability_csv(rows, path: str) -> None:
 
 
 def read_json(path: str) -> dict:
+    """Load a JSON document; malformed JSON raises FileFormatError with its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise FileFormatError(f"invalid JSON: {exc}", line=getattr(exc, "lineno", None)) from None
 
 
 def write_json(doc: dict, path: str) -> None:

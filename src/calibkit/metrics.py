@@ -7,6 +7,7 @@ and reliability-diagram aggregates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -18,12 +19,11 @@ from .core import (
     LogitDataset,
     PredictionSet,
     ClassSlice,
-    log_softmax,
     predict,
     softmax,
     split_by_predicted,
 )
-from .errors import ConfigError, EmptyDatasetError
+from .errors import ConfigError, EmptyDatasetError, InvalidInputError
 
 __all__ = [
     "BinningConfig",
@@ -150,15 +150,22 @@ def avg_ece(class_eces: Mapping[int, float]) -> float:
 def nll(dataset: LogitDataset, model: CalibrationModel = Identity()) -> float:
     """Mean negative log-likelihood of the true labels under the calibrated model.
 
-    Computed from log-softmax directly, so extreme logits never produce
-    log(0); log-probabilities are floored deep below anything reachable by
-    sane models.
+    Each record contributes log(sum_k exp(u_k)) - u_y, with the calibrated
+    logits u shifted so the row maximum is 0; extreme logits therefore never
+    produce log(0) or overflow. This is the formula the temperature fits
+    minimize (`optim.temperature_nll`), with no floor on the
+    log-probabilities.
     """
     if dataset.num_records == 0:
         raise EmptyDatasetError("NLL is undefined on an empty dataset")
     raw_pred = np.argmax(softmax(dataset.logits), axis=1)
-    logp = log_softmax(model.scaled_logits(dataset.logits, raw_pred))
-    return float(-np.mean(logp[np.arange(dataset.num_records), dataset.labels]))
+    u = model.scaled_logits(dataset.logits, raw_pred)
+    u = u - u.max(axis=1, keepdims=True)
+    u_y = u[np.arange(dataset.num_records), dataset.labels]
+    value = float(np.mean(np.log(np.exp(u).sum(axis=1)) - u_y))
+    if not math.isfinite(value):
+        raise InvalidInputError("calibrated logits contain NaN or Inf")
+    return value
 
 
 def reliability_rows(

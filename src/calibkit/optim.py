@@ -1,9 +1,9 @@
 """Generic numerical machinery.
 
-Bounded scalar minimization (coarse bracket scan + golden section), projected
-gradient descent with backtracking, and the analytic gradients of the
-calibration loss under scalar-temperature and vector scaling. Everything here
-is deterministic.
+Bounded convex scalar minimization (safeguarded Newton with a bisection
+fallback), projected gradient descent with backtracking, and the calibration
+loss under scalar-temperature and vector scaling with its analytic
+derivatives. Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -24,34 +24,43 @@ __all__ = [
     "projected_gd",
     "temperature_nll",
     "vector_nll",
-    "nll_grad_temperature",
     "nll_grad_vector",
 ]
 
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _MAX_STEP = 1e30
+# Bisection alone shrinks [0.01, 100] below 1e-6 in 27 steps, and a Newton
+# step is only taken while it halves the step before last, so a convex
+# objective stays far below this bound.
+_MAX_SCALAR_ITERS = 100
 
 
 @dataclass
 class ScalarProblem:
-    """A 1-D objective on [lo, hi], minimized to `tol` on the argument.
+    """A convex 1-D objective on [lo, hi], minimized to `tol` on the argument.
 
-    `scan_points` coarse evaluations pick the starting bracket, which lets the
-    search tolerate mild non-unimodality.
+    `objective(x)` returns (f(x), f'(x), f''(x)). The search starts at `x0`,
+    clipped into [lo, hi].
     """
 
-    objective: Callable[[float], float]
+    objective: Callable[[float], tuple[float, float, float]]
     lo: float
     hi: float
     tol: float = 1e-6
-    scan_points: int = 64
+    x0: float = 1.0
 
 
 def minimize_scalar(problem: ScalarProblem) -> tuple[float, float]:
-    """Minimize a bounded scalar objective; returns (argmin, value).
+    """Minimize a bounded convex scalar objective; returns (argmin, value).
 
-    A coarse scan over `scan_points` equally spaced points brackets the best
-    candidate, then golden-section search shrinks the bracket below `tol`.
+    The sign of f' at the start says on which side of it the minimizer lies;
+    the bound on that side is returned if f' has the same sign there
+    (f'(lo) >= 0 or f'(hi) <= 0). Otherwise f' changes sign inside a
+    bracket, and Newton steps x - f'/f'' are taken while they land inside it
+    and are at most half the step before last; any other step bisects the
+    bracket (Nocedal & Wright, *Numerical Optimization*, ch. 3). The search
+    stops once a step or the bracket is below `tol`, and raises
+    OptimizationError on a non-finite evaluation or if it runs past a fixed
+    iteration bound.
     """
     lo, hi = float(problem.lo), float(problem.hi)
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
@@ -59,32 +68,45 @@ def minimize_scalar(problem: ScalarProblem) -> tuple[float, float]:
     if problem.tol <= 0:
         raise ConfigError("tolerance must be positive")
 
-    def f(x: float) -> float:
-        val = float(problem.objective(x))
-        if not np.isfinite(val):
-            raise OptimizationError(f"objective is not finite at x={x}: {val}")
-        return val
+    def f(x: float) -> tuple[float, float, float]:
+        val, d1, d2 = (float(v) for v in problem.objective(x))
+        if not (np.isfinite(val) and np.isfinite(d1) and np.isfinite(d2)):
+            raise OptimizationError(f"objective is not finite at x={x}: {(val, d1, d2)}")
+        return val, d1, d2
 
-    xs = np.linspace(lo, hi, max(problem.scan_points, 3))
-    fs = np.array([f(x) for x in xs])
-    best = int(np.argmin(fs))
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, xs.size - 1)]
-
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > problem.tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
+    x = min(max(float(problem.x0), lo), hi)
+    fx, g, h = f(x)
+    bound = hi if g < 0 else lo
+    if g == 0 or x == bound:
+        return x, fx
+    fb, gb, _ = f(bound)
+    if (gb <= 0) if bound == hi else (gb >= 0):
+        return bound, fb
+    # Now f'(a) < 0 < f'(b), and x is a or b.
+    a, b = (x, hi) if g < 0 else (lo, x)
+    step = step_before = b - a
+    for _ in range(_MAX_SCALAR_ITERS):
+        if b - a < problem.tol:
+            return x, fx
+        d = g / h if h > 0 else np.inf
+        if abs(d) < problem.tol:
+            return x, fx
+        if a < x - d < b and abs(d) <= 0.5 * abs(step_before):
+            step_before, step = step, d
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+            step_before, step = step, x - 0.5 * (a + b)
+        x -= step
+        fx, g, h = f(x)
+        if g == 0:
+            return x, fx
+        if g < 0:
+            a = x
+        else:
+            b = x
+    raise OptimizationError(
+        f"scalar search did not converge in {_MAX_SCALAR_ITERS} iterations (bracket [{a}, {b}])",
+        iterations=_MAX_SCALAR_ITERS,
+    )
 
 
 @dataclass
@@ -168,18 +190,29 @@ def _select(dataset: LogitDataset, indices: np.ndarray | None) -> tuple[np.ndarr
     return dataset.logits[idx], dataset.labels[idx]
 
 
-def temperature_nll(dataset: LogitDataset, alpha: float, indices: np.ndarray | None = None) -> float:
-    """Mean NLL of the true labels under softmax(alpha * logits), optionally on a slice."""
-    z, y = _select(dataset, indices)
-    zs = alpha * z
-    return float(np.mean(_logsumexp(zs) - zs[np.arange(zs.shape[0]), y]))
+def temperature_nll(
+    dataset: LogitDataset, alpha: float, indices: np.ndarray | None = None
+) -> tuple[float, float, float]:
+    """Mean NLL of the true labels under softmax(alpha * logits) and its alpha-derivatives.
 
-
-def nll_grad_temperature(dataset: LogitDataset, alpha: float, indices: np.ndarray | None = None) -> float:
-    """d/d(alpha) of `temperature_nll`: mean of sum_k p_k(alpha) z_k - z_Y."""
+    Returns (mean NLL, mean(E_p[z] - z_y), mean(Var_p[z])) from one softmax
+    pass, optionally on a slice of the records. The second derivative is a
+    variance, so the NLL is convex in alpha.
+    """
     z, y = _select(dataset, indices)
-    p = softmax(alpha * z)
-    return float(np.mean((p * z).sum(axis=1) - z[np.arange(z.shape[0]), y]))
+    u = z - z.max(axis=1, keepdims=True)  # shift-invariant; every row's max is 0
+    e = alpha * u
+    np.exp(e, out=e)
+    s = e.sum(axis=1)
+    mean_u = np.einsum("ij,ij->i", e, u) / s
+    e *= u
+    var_u = np.einsum("ij,ij->i", e, u) / s - mean_u * mean_u
+    u_y = u[np.arange(y.shape[0]), y]
+    return (
+        float(np.mean(np.log(s) - alpha * u_y)),
+        float(np.mean(mean_u - u_y)),
+        float(np.mean(var_u)),
+    )
 
 
 def _check_vector_dims(dataset: LogitDataset, scale: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

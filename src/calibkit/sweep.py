@@ -120,6 +120,9 @@ def _nval_rows(
     independent draw per trial.
     """
     k = base.num_classes
+    bad = [v for v in values if float(v) % k != 0]
+    if bad:
+        raise ConfigError(f"validation sizes must be multiples of num_classes {k}, got {bad}")
     sizes = sorted(int(v) for v in values)
     if sizes[0] < k:
         raise ConfigError(f"validation sizes must be >= num_classes, got {sizes[0]}")
@@ -178,7 +181,8 @@ def run_sweep(
     noise: label-noise rate on the first half of the classes.
     size: sampling fraction of the first half of the classes.
     gamma: CTS radius on a fixed dataset (TS rows are gamma-independent).
-    n_val: validation-set size, averaged over `trials` seeded trials.
+    n_val: validation-set size, a multiple of K, averaged over `trials`
+    seeded trials.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")

@@ -52,7 +52,7 @@ def hetero_dataset(rng, n, scale_a=3.0, scale_b=0.3):
 
 def grid_argmin(dataset, lo=0.01, hi=100.0, points=10_001, indices=None):
     grid = np.linspace(lo, hi, points)
-    vals = np.array([temperature_nll(dataset, a, indices) for a in grid])
+    vals = np.array([temperature_nll(dataset, a, indices)[0] for a in grid])
     return grid[int(np.argmin(vals))], grid[1] - grid[0]
 
 
@@ -106,6 +106,16 @@ class TestFitTS:
             fit = fit_ts(ds)
             best, step = grid_argmin(ds)
             assert abs(fit.model.alpha - best) <= step
+
+    def test_val_nll_is_the_minimized_value(self):
+        # 5000 records with a tiny margin keep the NLL falling past
+        # alpha = 100, so the fit stops on the bound; there the one wrong
+        # record, with margin 8, has log-probability -800.
+        logits = np.vstack([np.tile([0.01, 0.0], (5000, 1)), [[8.0, 0.0]]])
+        val = LogitDataset(logits, np.r_[np.zeros(5000, dtype=int), 1])
+        fit = fit_ts(val)
+        assert fit.model.alpha == 100.0
+        assert abs(fit.val_nll - temperature_nll(val, 100.0)[0]) <= 1e-12
 
     def test_accuracy_preserved_exactly(self):
         rng = np.random.default_rng(43)

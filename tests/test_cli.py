@@ -8,7 +8,7 @@ import pytest
 
 from calibkit.cli import main
 from calibkit.core import LogitDataset
-from calibkit.errors import FileFormatError
+from calibkit.errors import ConfigError, FileFormatError
 from calibkit.io import read_binary_csv, read_logit_csv, write_logit_csv
 from calibkit.metrics import compute_report
 from calibkit.sweep import run_sweep
@@ -210,6 +210,32 @@ class TestReliabilityCommand:
         assert main(["reliability", "--file", val, "--model", str(model_path),
                      "--out", str(out)]) == 0
 
+    def _bad_model_exits_2(self, tmp_path, capsys, text):
+        rng = np.random.default_rng(70)
+        val, _ = wellspec_files(tmp_path, rng, n=50)
+        model_path = tmp_path / "m.json"
+        model_path.write_text(text)
+        assert main(["reliability", "--file", val, "--model", str(model_path),
+                     "--out", str(tmp_path / "rel.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_model_alpha_null_exits_2(self, tmp_path, capsys):
+        self._bad_model_exits_2(tmp_path, capsys, '{"method": "ts", "alpha": null, "num_classes": 4}')
+
+    def test_model_alpha_missing_exits_2(self, tmp_path, capsys):
+        self._bad_model_exits_2(tmp_path, capsys, '{"method": "ts", "num_classes": 4}')
+
+    def test_model_scale_not_numeric_exits_2(self, tmp_path, capsys):
+        self._bad_model_exits_2(
+            tmp_path, capsys, '{"method": "vs", "a": "x", "b": [0, 0, 0, 0], "num_classes": 4}'
+        )
+
+    def test_model_invalid_json_exits_2(self, tmp_path, capsys):
+        err = self._bad_model_exits_2(tmp_path, capsys, '{"method": "ts",\n "alpha": }')
+        assert "line 2" in err
+
 
 class TestSynthCommand:
     def test_dnoisy_noiseless(self, tmp_path):
@@ -305,3 +331,11 @@ class TestSweep:
         assert set(ts_rows) == {100.0, 400.0}
         for r in rows:
             assert r.nll_gap >= 0.0
+
+    def test_nval_sizes_must_be_multiples_of_classes(self, tmp_path):
+        # Truncating 22 and 23 to 20 would give three identical rows.
+        with pytest.raises(ConfigError):
+            run_sweep("n_val", [20, 22, 23], self.base_spec(), trials=1, test_records=400)
+        assert main(["sweep", "--axis", "n_val", "--values", "20,22,23", "--seed", "13",
+                     "--classes", "4", "--sizes", "200", "--trials", "1",
+                     "--out", str(tmp_path / "s.csv")]) == 2

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from calibkit.core import Identity, LogitDataset, Temperature, predict, split_by_predicted
-from calibkit.errors import ConfigError, EmptyDatasetError
+from calibkit.core import Identity, LogitDataset, Temperature, Vector, predict, split_by_predicted
+from calibkit.errors import ConfigError, EmptyDatasetError, InvalidInputError
 from calibkit.metrics import (
     BinnedStats,
     BinningConfig,
@@ -222,22 +222,28 @@ class TestNll:
         ds = LogitDataset(np.array([[2000.0, -2000.0]]), np.array([1]))
         value = nll(ds)
         assert np.isfinite(value)
-        assert value <= 700.0
+        # Exact: the label's log-probability is -4000, with no floor.
+        assert value == 4000.0
 
     def test_empty_rejected(self):
         ds = LogitDataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
         with pytest.raises(EmptyDatasetError):
             nll(ds)
 
+    def test_overflowing_calibrated_logits_rejected(self):
+        ds = LogitDataset(np.array([[10.0, 1.0]]), np.array([0]))
+        with pytest.raises(InvalidInputError), np.errstate(over="ignore", invalid="ignore"):
+            nll(ds, Vector(np.full(2, 1e308), np.zeros(2)))
+
     def test_temperature_derivative_matches_finite_differences(self):
-        from calibkit.optim import nll_grad_temperature
+        from calibkit.optim import temperature_nll
 
         rng = np.random.default_rng(27)
         ds = LogitDataset(rng.normal(size=(200, 5)), rng.integers(0, 5, 200))
         h = 1e-5
         for alpha in rng.uniform(0.1, 10, 20):
             fd = (nll(ds, Temperature(alpha + h)) - nll(ds, Temperature(alpha - h))) / (2 * h)
-            grad = nll_grad_temperature(ds, alpha)
+            grad = temperature_nll(ds, alpha)[1]
             assert abs(grad - fd) / max(abs(fd), 1e-8) <= 1e-5
 
 

@@ -5,11 +5,11 @@ import pytest
 
 from calibkit.core import LogitDataset
 from calibkit.errors import ConfigError, OptimizationError
+from calibkit import optim
 from calibkit.optim import (
     GradientProblem,
     ScalarProblem,
     minimize_scalar,
-    nll_grad_temperature,
     nll_grad_vector,
     projected_gd,
     temperature_nll,
@@ -28,14 +28,23 @@ def random_dataset(rng, n=200, k=5):
     return LogitDataset(rng.normal(size=(n, k)), rng.integers(0, k, n))
 
 
+def quadratic(c):
+    return lambda x: ((x - c) ** 2, 2.0 * (x - c), 2.0)
+
+
+def kink(c):
+    # |x - c|: no curvature anywhere, so every step is a bisection.
+    return lambda x: (abs(x - c), float(np.sign(x - c)), 0.0)
+
+
 class TestMinimizeScalar:
     def test_quadratic(self):
-        x, fx = minimize_scalar(ScalarProblem(lambda x: (x - 2) ** 2, 0, 10))
+        x, fx = minimize_scalar(ScalarProblem(quadratic(2.0), 0, 10))
         assert abs(x - 2) <= 1e-6
         assert fx <= 1e-11
 
     def test_kink_at_optimum(self):
-        x, _ = minimize_scalar(ScalarProblem(lambda x: abs(x - 0.3), 0, 1))
+        x, _ = minimize_scalar(ScalarProblem(kink(0.3), 0, 1))
         assert abs(x - 0.3) <= 1e-6
 
     def test_matches_dense_grid_on_nll(self):
@@ -44,49 +53,93 @@ class TestMinimizeScalar:
         lo, hi = 0.01, 100.0
         x, _ = minimize_scalar(ScalarProblem(lambda a: temperature_nll(ds, a), lo, hi))
         grid = np.linspace(lo, hi, 100_001)
-        vals = np.array([temperature_nll(ds, a) for a in grid])
+        vals = np.array([temperature_nll(ds, a)[0] for a in grid])
         step = grid[1] - grid[0]
         assert abs(x - grid[np.argmin(vals)]) <= step
 
-    def test_scan_density_insensitive(self):
+    def test_start_point_insensitive(self):
         rng = np.random.default_rng(11)
         tol = 1e-6
         for scale in (0.5, 2.0, 5.0):
             ds = random_dataset(rng, n=300)
             ds = LogitDataset(scale * ds.logits, ds.labels)
-            x64, _ = minimize_scalar(
-                ScalarProblem(lambda a: temperature_nll(ds, a), 0.01, 100.0, tol=tol, scan_points=64)
-            )
-            x128, _ = minimize_scalar(
-                ScalarProblem(lambda a: temperature_nll(ds, a), 0.01, 100.0, tol=tol, scan_points=128)
-            )
-            assert abs(x64 - x128) <= 10 * tol
+            xs = [
+                minimize_scalar(
+                    ScalarProblem(lambda a: temperature_nll(ds, a), 0.01, 100.0, tol=tol, x0=x0)
+                )[0]
+                for x0 in (0.01, 0.3, 1.0, 7.0, 100.0)
+            ]
+            assert max(xs) - min(xs) <= 10 * tol
+
+    def test_lower_bound_when_increasing(self):
+        for x0 in (0.0, 1.0, 5.0):
+            x, fx = minimize_scalar(ScalarProblem(quadratic(-1.0), 0.0, 5.0, x0=x0))
+            assert (x, fx) == (0.0, 1.0)
+
+    def test_upper_bound_when_decreasing(self):
+        # Separable records: the NLL keeps falling as alpha grows.
+        ds = LogitDataset(np.array([[3.0, 0.0], [0.0, 2.0]]), np.array([0, 1]))
+        x, _ = minimize_scalar(ScalarProblem(lambda a: temperature_nll(ds, a), 0.01, 100.0))
+        assert x == 100.0
+
+    def test_few_evaluations_on_nll(self):
+        rng = np.random.default_rng(19)
+        ds = random_dataset(rng, n=1000)
+        calls = []
+
+        def objective(a):
+            calls.append(a)
+            return temperature_nll(ds, a)
+
+        minimize_scalar(ScalarProblem(objective, 0.01, 100.0))
+        assert len(calls) <= 12
 
     def test_invalid_bounds(self):
         with pytest.raises(ConfigError):
-            minimize_scalar(ScalarProblem(lambda x: x, 1.0, 1.0))
+            minimize_scalar(ScalarProblem(quadratic(0.0), 1.0, 1.0))
 
     def test_non_finite_objective(self):
         with pytest.raises(OptimizationError):
-            minimize_scalar(ScalarProblem(lambda x: np.inf, 0.0, 1.0))
+            minimize_scalar(ScalarProblem(lambda x: (np.inf, 0.0, 1.0), 0.0, 1.0))
+        with pytest.raises(OptimizationError):
+            minimize_scalar(ScalarProblem(lambda x: (0.0, np.nan, 1.0), 0.0, 1.0))
+
+    def test_iteration_bound_raises(self, monkeypatch):
+        # Bisection needs about 20 steps here; past the bound the search
+        # raises instead of returning an unconverged point.
+        monkeypatch.setattr(optim, "_MAX_SCALAR_ITERS", 5)
+        with pytest.raises(OptimizationError):
+            minimize_scalar(ScalarProblem(kink(0.3), 0.0, 1.0))
 
 
 class TestTemperatureGradient:
     def test_zero_on_symmetric_logits(self):
         ds = LogitDataset(np.full((50, 4), 1.7), np.zeros(50, dtype=int))
         for alpha in (0.1, 1.0, 10.0):
-            assert abs(nll_grad_temperature(ds, alpha)) < 1e-12
+            assert abs(temperature_nll(ds, alpha)[1]) < 1e-12
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             ds = random_dataset(rng, n=100, k=int(rng.integers(2, 8)))
             alpha = float(rng.uniform(0.1, 10))
-            grad = nll_grad_temperature(ds, alpha)
-            fd = (temperature_nll(ds, alpha + FD_STEP) - temperature_nll(ds, alpha - FD_STEP)) / (
+            grad = temperature_nll(ds, alpha)[1]
+            fd = (temperature_nll(ds, alpha + FD_STEP)[0] - temperature_nll(ds, alpha - FD_STEP)[0]) / (
                 2 * FD_STEP
             )
             assert rel_err(grad, fd) <= 1e-5
+
+    def test_curvature_matches_central_differences(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            ds = random_dataset(rng, n=100, k=int(rng.integers(2, 8)))
+            alpha = float(rng.uniform(0.1, 10))
+            curv = temperature_nll(ds, alpha)[2]
+            fd = (temperature_nll(ds, alpha + FD_STEP)[1] - temperature_nll(ds, alpha - FD_STEP)[1]) / (
+                2 * FD_STEP
+            )
+            assert curv >= 0.0
+            assert rel_err(curv, fd) <= 1e-5
 
     def test_first_order_optimality_at_fitted_temperature(self):
         # Labels must carry signal so the optimum is interior: sample them
@@ -102,16 +155,16 @@ class TestTemperatureGradient:
             ds = LogitDataset(z, labels)
             alpha = fit_ts(ds).model.alpha
             assert 0.01 < alpha < 100.0
-            assert abs(nll_grad_temperature(ds, alpha)) <= 1e-4
+            assert abs(temperature_nll(ds, alpha)[1]) <= 1e-4
 
     def test_matches_central_differences_on_slice(self):
         rng = np.random.default_rng(13)
         ds = random_dataset(rng, n=200)
         idx = np.flatnonzero(np.argmax(ds.logits, axis=1) == 2)
         alpha = 1.7
-        grad = nll_grad_temperature(ds, alpha, idx)
+        grad = temperature_nll(ds, alpha, idx)[1]
         fd = (
-            temperature_nll(ds, alpha + FD_STEP, idx) - temperature_nll(ds, alpha - FD_STEP, idx)
+            temperature_nll(ds, alpha + FD_STEP, idx)[0] - temperature_nll(ds, alpha - FD_STEP, idx)[0]
         ) / (2 * FD_STEP)
         assert rel_err(grad, fd) <= 1e-5
 
