@@ -7,8 +7,8 @@ radius gamma. With alpha0 fixed the CTS objective splits by predicted class,
 so every gamma runs the same scalar search once per predicted-class slice on
 [max(alpha0 - gamma, alpha_lo), alpha0 + gamma]: gamma = 0 collapses to TS
 and gamma = inf searches the full bounds. Vector scaling (VS) fits a
-per-class scale and bias by gradient descent and may change predictions;
-temperature variants never do.
+per-class scale and bias by one L-BFGS solve from the TS solution and may
+change predictions; temperature variants never do.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ from .core import (
 from .errors import ConfigError, EmptyDatasetError, InvalidModelError
 from .metrics import nll
 from .optim import (
-    GradientProblem,
     ScalarProblem,
+    SmoothProblem,
+    minimize_lbfgs,
     minimize_scalar,
     nll_grad_vector,
-    projected_gd,
     temperature_nll,
-    vector_nll,
 )
+from .optim import projected_gd, vector_nll  # noqa: F401  (unused here; bench/tracer.py wraps them at this module)
 
 __all__ = [
     "FitConfig",
@@ -63,6 +63,7 @@ class FitConfig:
     `alpha_lo`/`alpha_hi` bound the shared temperature (and each per-class
     search). The defaults are wide enough that no sane fixture ends up on a
     boundary; boundary hits are reported as warnings, not errors.
+    `max_iters` and `improvement_tol` configure the VS L-BFGS solve.
     """
 
     alpha_lo: float = 0.01
@@ -71,7 +72,6 @@ class FitConfig:
     min_class_samples: int = 10
     scalar_tol: float = 1e-6
     max_iters: int = 2000
-    step_size: float = 0.1
     improvement_tol: float = 1e-10
 
     def __post_init__(self):
@@ -85,7 +85,11 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted model plus fit diagnostics on the validation dataset."""
+    """Fitted model plus fit diagnostics on the validation dataset.
+
+    `iterations` counts objective evaluations: scalar-search evaluations for
+    TS and CTS, and for VS the TS evaluations plus the L-BFGS evaluations.
+    """
 
     model: CalibrationModel
     val_nll: float
@@ -200,48 +204,31 @@ def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
 
 
 def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
-    """Fit vector scaling by gradient descent on the validation NLL.
+    """Fit vector scaling by one L-BFGS solve on the validation NLL.
 
-    Two deterministic restarts: the identity (scale 1, bias 0) and a
-    TS-warm start (scale alpha* 1, bias 0). The warm start makes the fitted
-    NLL never worse than the TS solution's. Vector scaling can change
-    predictions, so the result reports accuracy before and after.
+    The solve starts at the TS solution (scale alpha_TS * 1, bias 0). The
+    NLL is jointly convex in (scale, bias) and every accepted step lowers
+    it, so the fitted NLL is never worse than the TS solution's. It raises
+    OptimizationError if it does not converge within `cfg.max_iters`
+    iterations. Vector scaling can change predictions, so the result reports
+    accuracy before and after.
     """
     if val.num_records == 0:
         raise EmptyDatasetError("cannot fit on an empty validation set")
     k = val.num_classes
     alpha_ts, evals = _scalar_fit(val, cfg)
 
-    def objective(x: np.ndarray) -> float:
-        return vector_nll(val, x[:k], x[k:])
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal evals
+        evals += 1
+        loss, ga, gb = nll_grad_vector(val, x[:k], x[k:])
+        return loss, np.concatenate([ga, gb])
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        ga, gb = nll_grad_vector(val, x[:k], x[k:])
-        return np.concatenate([ga, gb])
-
-    starts = [
-        np.concatenate([np.ones(k), np.zeros(k)]),
-        np.concatenate([np.full(k, alpha_ts), np.zeros(k)]),
-    ]
-    best = None
-    total_iters = evals
-    for x0 in starts:
-        result = projected_gd(
-            GradientProblem(
-                objective=objective,
-                gradient=gradient,
-                project=lambda x: x,
-                x0=x0,
-                step_size=cfg.step_size,
-                max_iters=cfg.max_iters,
-                improvement_tol=cfg.improvement_tol,
-            )
-        )
-        total_iters += result.iterations
-        if best is None or result.loss < best.loss:
-            best = result
-    model = Vector(best.x[:k], best.x[k:])
-    return _finish(model, val, total_iters, [], [])
+    x0 = np.concatenate([np.full(k, alpha_ts), np.zeros(k)])
+    result = minimize_lbfgs(
+        SmoothProblem(objective, x0, max_iters=cfg.max_iters, improvement_tol=cfg.improvement_tol)
+    )
+    return _finish(Vector(result.x[:k], result.x[k:]), val, evals, [], [])
 
 
 def accuracy_delta(before: PredictionSet, after: PredictionSet) -> tuple[float, int]:

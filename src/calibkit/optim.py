@@ -1,26 +1,31 @@
 """Generic numerical machinery.
 
 Bounded convex scalar minimization (safeguarded Newton with a bisection
-fallback), projected gradient descent with backtracking, and the calibration
-loss under scalar-temperature and vector scaling with its analytic
-derivatives. Everything here is deterministic.
+fallback), L-BFGS for smooth unconstrained problems, projected gradient
+descent with backtracking, and the calibration loss under scalar-temperature
+and vector scaling with its analytic derivatives. Everything here is
+deterministic.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import LogitDataset, softmax
+from .core import LogitDataset
+from .core import softmax  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 from .errors import ConfigError, OptimizationError
 
 __all__ = [
     "ScalarProblem",
     "GradientProblem",
+    "SmoothProblem",
     "GDResult",
     "minimize_scalar",
+    "minimize_lbfgs",
     "projected_gd",
     "temperature_nll",
     "vector_nll",
@@ -32,6 +37,13 @@ _MAX_STEP = 1e30
 # step is only taken while it halves the step before last, so a convex
 # objective stays far below this bound.
 _MAX_SCALAR_ITERS = 100
+# Correction pairs kept by L-BFGS; 3 to 20 is the usual range (Nocedal &
+# Wright, ch. 7), and 10 is ample for the 2K vector-scaling parameters.
+_LBFGS_HISTORY = 10
+# Halvings of the unit step before a line search gives up: 2**-50 of the
+# step is below the rounding of any iterate it could move.
+_MAX_HALVINGS = 50
+_ARMIJO_C1 = 1e-4
 
 
 @dataclass
@@ -178,9 +190,102 @@ def projected_gd(problem: GradientProblem) -> GDResult:
     return GDResult(x=x, loss=loss, iterations=problem.max_iters)
 
 
-def _logsumexp(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=-1, keepdims=True)
-    return np.log(np.exp(z - m).sum(axis=-1)) + m[..., 0]
+@dataclass
+class SmoothProblem:
+    """A smooth unconstrained objective for `minimize_lbfgs`.
+
+    `objective(x)` returns (f(x), grad f(x)) from one evaluation. The solver
+    stops once an accepted step improves f by less than `improvement_tol`,
+    and raises OptimizationError past `max_iters` iterations.
+    """
+
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    x0: np.ndarray
+    max_iters: int = 2000
+    improvement_tol: float = 1e-10
+
+
+def _backtrack(
+    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x: np.ndarray,
+    loss: float,
+    d: np.ndarray,
+    slope: float,
+) -> tuple[np.ndarray, float, np.ndarray] | None:
+    """Armijo backtracking along descent direction `d` from a unit step.
+
+    Returns the first (point, loss, gradient) with a strictly lower loss
+    that meets the sufficient-decrease condition, or None if no halving does.
+    """
+    t = 1.0
+    for _ in range(_MAX_HALVINGS + 1):
+        cand = x + t * d
+        cand_loss, cand_grad = evaluate(cand)
+        if cand_loss < loss and cand_loss <= loss + _ARMIJO_C1 * t * slope:
+            return cand, cand_loss, cand_grad
+        t *= 0.5
+    return None
+
+
+def minimize_lbfgs(problem: SmoothProblem) -> GDResult:
+    """Limited-memory BFGS with Armijo backtracking from a unit step.
+
+    The direction comes from the two-loop recursion over the last
+    `_LBFGS_HISTORY` (step, gradient change) pairs (Nocedal & Wright,
+    *Numerical Optimization*, Alg. 7.4-7.5); a pair is kept only when its
+    curvature s.y is positive. If that direction is not a descent direction
+    the history is dropped and the step follows the negative gradient.
+    Every accepted step strictly decreases the loss. The solver returns when
+    the gradient is zero, when an accepted step improves the loss by less
+    than `improvement_tol`, or when no halving of the step lowers the loss
+    (the iterate is optimal to rounding). A non-finite loss or gradient, or
+    running past `max_iters`, raises OptimizationError.
+    """
+    iteration = 0
+
+    def evaluate(point: np.ndarray) -> tuple[float, np.ndarray]:
+        val, grad = problem.objective(point)
+        val, grad = float(val), np.asarray(grad, dtype=np.float64)
+        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+            raise OptimizationError(f"objective is not finite at iteration {iteration}", iterations=iteration)
+        return val, grad
+
+    x = np.array(problem.x0, dtype=np.float64)
+    loss, grad = evaluate(x)
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_LBFGS_HISTORY)
+    for iteration in range(1, problem.max_iters + 1):
+        d = -grad
+        coefs = []
+        for s, y, rho in reversed(pairs):
+            coefs.append(rho * (s @ d))
+            d -= coefs[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            d *= (s @ y) / (y @ y)
+        for (s, y, rho), c in zip(pairs, reversed(coefs)):
+            d += (c - rho * (y @ d)) * s
+        slope = grad @ d
+        if not slope < 0:
+            pairs.clear()
+            d, slope = -grad, -(grad @ grad)
+            if slope == 0:
+                return GDResult(x=x, loss=loss, iterations=iteration)
+        step = _backtrack(evaluate, x, loss, d, slope)
+        if step is None:
+            return GDResult(x=x, loss=loss, iterations=iteration)
+        cand, cand_loss, cand_grad = step
+        s, y = cand - x, cand_grad - grad
+        sy = s @ y
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        improvement = loss - cand_loss
+        x, loss, grad = cand, cand_loss, cand_grad
+        if improvement < problem.improvement_tol:
+            return GDResult(x=x, loss=loss, iterations=iteration)
+    raise OptimizationError(
+        f"L-BFGS did not converge in {problem.max_iters} iterations (loss {loss})",
+        iterations=problem.max_iters,
+    )
 
 
 def _select(dataset: LogitDataset, indices: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -226,25 +331,30 @@ def _check_vector_dims(dataset: LogitDataset, scale: np.ndarray, bias: np.ndarra
     return scale, bias
 
 
-def vector_nll(dataset: LogitDataset, scale: np.ndarray, bias: np.ndarray) -> float:
-    """Mean NLL of the true labels under softmax(scale * logits + bias)."""
-    scale, bias = _check_vector_dims(dataset, scale, bias)
-    zs = scale * dataset.logits + bias
-    return float(np.mean(_logsumexp(zs) - zs[np.arange(zs.shape[0]), dataset.labels]))
-
-
 def nll_grad_vector(
     dataset: LogitDataset, scale: np.ndarray, bias: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of `vector_nll` in (scale, bias).
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean NLL of the true labels under softmax(scale * logits + bias) and its gradients.
 
-    With residuals r = softmax(scale * z + bias) - onehot(Y):
+    Returns (mean NLL, grad_scale, grad_bias) from one softmax pass. With
+    residuals r = softmax(scale * z + bias) - onehot(Y):
     grad_scale = mean(r * z), grad_bias = mean(r).
     """
     scale, bias = _check_vector_dims(dataset, scale, bias)
-    z = dataset.logits
-    r = softmax(scale * z + bias)
+    z, y = dataset.logits, dataset.labels
     rows = np.arange(z.shape[0])
-    r = r.copy()
-    r[rows, dataset.labels] -= 1.0
-    return (r * z).mean(axis=0), r.mean(axis=0)
+    u = z * scale
+    u += bias
+    u -= u.max(axis=1, keepdims=True)  # shift-invariant; every row's max is 0
+    u_y = u[rows, y]
+    np.exp(u, out=u)
+    s = u.sum(axis=1)
+    loss = float(np.mean(np.log(s) - u_y))
+    u /= s[:, None]
+    u[rows, y] -= 1.0
+    return loss, np.einsum("ij,ij->j", u, z) / z.shape[0], u.mean(axis=0)
+
+
+def vector_nll(dataset: LogitDataset, scale: np.ndarray, bias: np.ndarray) -> float:
+    """Mean NLL of the true labels under softmax(scale * logits + bias)."""
+    return nll_grad_vector(dataset, scale, bias)[0]

@@ -3,16 +3,17 @@
 Each sweep point fits TS and CTS on a validation split and evaluates on a
 test split. Rows carry the test-set calibration metrics plus the fitted
 model's validation and test NLL (their gap is the generalization signal for
-the validation-size axis). Points may run on worker threads, capped by the
-``CALIBKIT_THREADS`` environment variable; rows are sorted by
-(axis_value, method) regardless of completion order, so results do not
-depend on scheduling.
+the validation-size axis). Points (n_val trials on that axis) may run on
+worker threads, capped by the ``CALIBKIT_THREADS`` environment variable;
+results are gathered in submission order and rows are sorted by
+(axis_value, method), so results do not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -45,12 +46,24 @@ class SweepRow:
 
 
 def _worker_count(num_points: int) -> int:
-    cap = os.environ.get("CALIBKIT_THREADS", "1")
+    raw = os.environ.get("CALIBKIT_THREADS", "1")
     try:
-        cap = max(1, int(cap))
+        cap = int(raw)
     except ValueError:
+        cap = 0
+    if cap < 1:
+        warnings.warn(f"CALIBKIT_THREADS={raw!r} is not a positive integer; using 1 worker")
         cap = 1
     return min(cap, max(num_points, 1))
+
+
+def _map_points(fn, items: list) -> list:
+    """[fn(item) for item in items], on up to `_worker_count` threads, in item order."""
+    workers = _worker_count(len(items))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _fit_and_eval(method, val, test, cfg, binning, axis_value) -> SweepRow:
@@ -129,8 +142,7 @@ def _nval_rows(
     pool_per_class = math.ceil(sizes[-1] / k)
     test_per_class = max(1, test_records // k)
 
-    acc: dict[tuple[float, str], list[SweepRow]] = {}
-    for t in range(trials):
+    def trial_rows(t: int) -> list[SweepRow]:
         pool_spec = replace(
             base, class_sizes=np.full(k, pool_per_class), seed=base.seed + 7919 * t
         )
@@ -140,20 +152,24 @@ def _nval_rows(
         )
         test = gen_hetero_logits(test_spec).test
         starts = np.arange(k) * pool_per_class
+        rows = []
         for n_val in sizes:
             per_class = n_val // k
             idx = np.concatenate([np.arange(s, s + per_class) for s in starts])
             val = val_pool.subset(idx)
             for method in ("ts", "cts"):
-                row = _fit_and_eval(method, val, test, cfg, binning, float(n_val))
-                acc.setdefault((float(n_val), method), []).append(row)
+                rows.append(_fit_and_eval(method, val, test, cfg, binning, float(n_val)))
+        return rows
 
+    # Every trial yields its rows in the same (size, method) order, so
+    # zipping the trials groups each point's rows in trial order.
+    per_trial = _map_points(trial_rows, list(range(trials)))
     rows = []
-    for (axis_value, method), group in acc.items():
+    for group in zip(*per_trial):
         rows.append(
             SweepRow(
-                axis_value=axis_value,
-                method=method,
+                axis_value=group[0].axis_value,
+                method=group[0].method,
                 ece=float(np.mean([r.ece for r in group])),
                 max_ece=float(np.mean([r.max_ece for r in group])),
                 avg_ece=float(np.mean([r.avg_ece for r in group])),
@@ -193,11 +209,6 @@ def run_sweep(
     if axis == "n_val":
         rows = _nval_rows(values, base, cfg, binning, trials, test_records)
     else:
-        workers = _worker_count(len(values))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(lambda v: _point_rows(axis, v, base, cfg, binning), values))
-        else:
-            chunks = [_point_rows(axis, v, base, cfg, binning) for v in values]
+        chunks = _map_points(lambda v: _point_rows(axis, v, base, cfg, binning), values)
         rows = [row for chunk in chunks for row in chunk]
     return sorted(rows, key=lambda r: (r.axis_value, r.method))

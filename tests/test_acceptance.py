@@ -214,7 +214,7 @@ def test_criterion_6_optimizer_oracles():
         else:
             a = rng.uniform(0.5, 2.0, k)
             b = rng.normal(scale=0.5, size=k)
-            ga, gb = nll_grad_vector(ds, a, b)
+            _, ga, gb = nll_grad_vector(ds, a, b)
             j = int(rng.integers(0, k))
             e = np.zeros(k)
             e[j] = h

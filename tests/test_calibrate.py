@@ -26,9 +26,10 @@ from calibkit.core import (
     softmax,
     split_by_predicted,
 )
-from calibkit.errors import EmptyDatasetError, InvalidModelError
+from calibkit.errors import EmptyDatasetError, InvalidModelError, OptimizationError
 from calibkit.metrics import nll
-from calibkit.optim import temperature_nll
+from calibkit.optim import GradientProblem, nll_grad_vector, projected_gd, temperature_nll
+from calibkit.synthetic import HeteroLogitSpec, gen_hetero_logits
 
 
 def wellspec_dataset(rng, n, k):
@@ -54,6 +55,51 @@ def grid_argmin(dataset, lo=0.01, hi=100.0, points=10_001, indices=None):
     grid = np.linspace(lo, hi, points)
     vals = np.array([temperature_nll(dataset, a, indices)[0] for a in grid])
     return grid[int(np.argmin(vals))], grid[1] - grid[0]
+
+
+def k100_dataset():
+    """Validation split of a K=100 heterogeneous draw with four tiny classes (seed 16)."""
+    k = 100
+    sizes = np.full(k, 20)
+    sizes[-4:] = 2
+    scales = np.concatenate([np.linspace(1.5, 2.5, 50), np.linspace(0.4, 0.8, 50)])
+    noise = np.where(np.arange(k) % 4 == 0, 0.1, 0.0)
+    return gen_hetero_logits(HeteroLogitSpec(k, sizes, scales, noise, margin=9.0, seed=16)).val
+
+
+def gd_restarts_nll(val, cfg=FitConfig()):
+    """Reference VS fit: the better of two projected gradient descent runs.
+
+    One run starts at the identity and one at the TS solution, with step
+    0.1 and at most `cfg.max_iters` iterations each. Returns the validation
+    NLL of the better run's model.
+    """
+    k = val.num_classes
+    cache = {}
+
+    def triple(x):
+        key = x.tobytes()
+        if key not in cache:
+            cache.clear()
+            cache[key] = nll_grad_vector(val, x[:k], x[k:])
+        return cache[key]
+
+    alpha = fit_ts(val, cfg).model.alpha
+    best = None
+    for x0 in (np.r_[np.ones(k), np.zeros(k)], np.r_[np.full(k, alpha), np.zeros(k)]):
+        run = projected_gd(
+            GradientProblem(
+                objective=lambda x: triple(x)[0],
+                gradient=lambda x: np.concatenate(triple(x)[1:]),
+                project=lambda x: x,
+                x0=x0,
+                max_iters=cfg.max_iters,
+                improvement_tol=cfg.improvement_tol,
+            )
+        )
+        if best is None or run.loss < best.loss:
+            best = run
+    return nll(val, Vector(best.x[:k], best.x[k:]))
 
 
 class TestApply:
@@ -228,6 +274,33 @@ class TestFitVS:
         ts = fit_ts(val)
         vs = fit_vs(val)
         assert vs.val_nll <= ts.val_nll + 1e-9
+
+    @pytest.mark.parametrize(
+        "make_val",
+        [
+            lambda: wellspec_dataset(np.random.default_rng(52), 20_000, 4),
+            lambda: hetero_dataset(np.random.default_rng(53), 5000),
+            lambda: hetero_dataset(np.random.default_rng(54), 5000),
+            k100_dataset,
+        ],
+        ids=["wellspec-52", "hetero-53", "hetero-54", "k100-seed16"],
+    )
+    def test_not_worse_than_gradient_descent_restarts(self, make_val):
+        val = make_val()
+        assert fit_vs(val).val_nll <= gd_restarts_nll(val)
+
+    def test_stationary_on_wellspec(self):
+        rng = np.random.default_rng(52)
+        val = wellspec_dataset(rng, 20_000, 4)
+        model = fit_vs(val).model
+        _, ga, gb = nll_grad_vector(val, model.scale, model.bias)
+        assert max(np.max(np.abs(ga)), np.max(np.abs(gb))) < 1e-5
+
+    def test_iteration_cap_raises(self):
+        rng = np.random.default_rng(53)
+        val = hetero_dataset(rng, 5000)
+        with pytest.raises(OptimizationError):
+            fit_vs(val, FitConfig(max_iters=2))
 
     def test_reports_accuracy_change(self):
         rng = np.random.default_rng(54)

@@ -2,12 +2,14 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from calibkit import sweep
 from calibkit.cli import main
-from calibkit.core import LogitDataset
+from calibkit.core import LogitDataset, softmax
 from calibkit.errors import ConfigError, FileFormatError
 from calibkit.io import read_binary_csv, read_logit_csv, write_logit_csv
 from calibkit.metrics import compute_report
@@ -143,6 +145,19 @@ class TestCalibrateCommand:
         report = json.loads(out.read_text())
         assert report["model"]["method"] == "vs"
         assert isinstance(report["changed_records"], int)
+
+    def test_vs_without_finite_minimizer_exits_4(self, tmp_path, capsys):
+        # 20 records against 24 VS parameters: the NLL keeps falling as the
+        # parameters grow, so the solve reaches its iteration cap.
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(20, 12))
+        labels = (rng.random(20)[:, None] > np.cumsum(softmax(z), axis=1)).sum(axis=1)
+        path = tmp_path / "tiny.csv"
+        write_logit_csv(LogitDataset(8 * z, np.minimum(labels, 11)), str(path))
+        argv = ["calibrate", "--val", str(path), "--test", str(path), "--out-report", str(tmp_path / "r.json")]
+        assert main(argv + ["--method", "ts"]) == 0
+        assert main(argv + ["--method", "vs"]) == 4
+        assert "did not converge" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["calibrate", "--val", str(tmp_path / "nope.csv"),
@@ -331,6 +346,31 @@ class TestSweep:
         assert set(ts_rows) == {100.0, 400.0}
         for r in rows:
             assert r.nll_gap >= 0.0
+
+    def test_nval_axis_identical_on_two_threads(self, monkeypatch):
+        threads = set()
+        fit_ts = sweep.fit_ts
+
+        def recording_fit_ts(*args, **kwargs):
+            threads.add(threading.current_thread().name)
+            return fit_ts(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "fit_ts", recording_fit_ts)
+        args = ("n_val", [40, 100], self.base_spec())
+        monkeypatch.setenv("CALIBKIT_THREADS", "1")
+        rows1 = run_sweep(*args, trials=4, test_records=800)
+        assert threads == {"MainThread"}
+        threads.clear()
+        monkeypatch.setenv("CALIBKIT_THREADS", "2")
+        rows2 = run_sweep(*args, trials=4, test_records=800)
+        assert "MainThread" not in threads and len(threads) == 2
+        assert rows1 == rows2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_invalid_thread_count_warns_and_uses_one_worker(self, monkeypatch, value):
+        monkeypatch.setenv("CALIBKIT_THREADS", value)
+        with pytest.warns(UserWarning, match=repr(value)):
+            assert sweep._worker_count(4) == 1
 
     def test_nval_sizes_must_be_multiples_of_classes(self, tmp_path):
         # Truncating 22 and 23 to 20 would give three identical rows.

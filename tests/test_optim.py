@@ -1,4 +1,4 @@
-"""Scalar search, projected gradient descent, and analytic gradients."""
+"""Scalar search, L-BFGS, projected gradient descent, and analytic gradients."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from calibkit import optim
 from calibkit.optim import (
     GradientProblem,
     ScalarProblem,
+    SmoothProblem,
+    minimize_lbfgs,
     minimize_scalar,
     nll_grad_vector,
     projected_gd,
@@ -174,7 +176,7 @@ class TestVectorGradient:
         # A record whose softmax already sits on its label has residual ~0.
         z = np.array([[40.0, 0.0, 0.0]])
         ds = LogitDataset(z, np.array([0]))
-        ga, gb = nll_grad_vector(ds, np.ones(3), np.zeros(3))
+        _, ga, gb = nll_grad_vector(ds, np.ones(3), np.zeros(3))
         assert np.max(np.abs(ga)) < 1e-12
         assert np.max(np.abs(gb)) < 1e-12
 
@@ -185,7 +187,7 @@ class TestVectorGradient:
             ds = random_dataset(rng, n=80, k=k)
             a = rng.uniform(0.5, 2.0, k)
             b = rng.normal(scale=0.5, size=k)
-            ga, gb = nll_grad_vector(ds, a, b)
+            _, ga, gb = nll_grad_vector(ds, a, b)
             for j in range(k):
                 ea = np.zeros(k)
                 ea[j] = FD_STEP
@@ -201,7 +203,7 @@ class TestVectorGradient:
         base = np.array([2.0, 0.0, 0.0])
         logits = np.vstack([np.roll(base, i) for i in range(k)])
         ds = LogitDataset(logits, np.arange(k))
-        _, gb = nll_grad_vector(ds, np.ones(k), np.zeros(k))
+        _, _, gb = nll_grad_vector(ds, np.ones(k), np.zeros(k))
         explicit = np.zeros(k)
         for i in range(k):
             p = np.exp(logits[i]) / np.exp(logits[i]).sum()
@@ -215,6 +217,74 @@ class TestVectorGradient:
         ds = random_dataset(rng, n=10, k=4)
         with pytest.raises(ConfigError):
             nll_grad_vector(ds, np.ones(3), np.zeros(3))
+
+
+class TestLBFGS:
+    def test_ill_conditioned_quadratic_exact_minimizer(self):
+        # Condition number 1e4, with the eigenbasis rotated away from the axes.
+        rng = np.random.default_rng(21)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        h = q @ np.diag(np.logspace(0, 4, 6)) @ q.T
+        c = rng.normal(size=6)
+
+        def objective(x):
+            r = x - c
+            return 0.5 * float(r @ h @ r), h @ r
+
+        result = minimize_lbfgs(SmoothProblem(objective, np.zeros(6), improvement_tol=0.0))
+        np.testing.assert_allclose(result.x, c, rtol=0, atol=1e-8)
+        assert result.loss <= 1e-16
+
+    def test_accepted_losses_strictly_decrease(self, monkeypatch):
+        # Record each line search: the loss it starts from and the loss it
+        # accepts. Each accepted loss is below its start, and the next line
+        # search starts from it.
+        searches = []
+        backtrack = optim._backtrack
+
+        def recording(evaluate, x, loss, d, slope):
+            step = backtrack(evaluate, x, loss, d, slope)
+            searches.append((loss, None if step is None else step[1]))
+            return step
+
+        monkeypatch.setattr(optim, "_backtrack", recording)
+        rng = np.random.default_rng(22)
+        ds = random_dataset(rng, n=300, k=4)
+
+        def objective(x):
+            loss, ga, gb = nll_grad_vector(ds, x[:4], x[4:])
+            return loss, np.concatenate([ga, gb])
+
+        result = minimize_lbfgs(SmoothProblem(objective, np.r_[np.ones(4), np.zeros(4)]))
+        accepted = [after for _, after in searches if after is not None]
+        assert len(accepted) > 3
+        assert all(after < before for before, after in searches if after is not None)
+        assert [before for before, _ in searches[1:]] == accepted[: len(searches) - 1]
+        assert result.loss == accepted[-1]
+
+    def test_unbounded_below_raises_at_cap(self):
+        with pytest.raises(OptimizationError) as info:
+            minimize_lbfgs(SmoothProblem(lambda x: (-float(x.sum()), -np.ones_like(x)), np.zeros(3), max_iters=5))
+        assert info.value.iterations == 5
+
+    def test_non_finite_loss_raises(self):
+        with pytest.raises(OptimizationError):
+            minimize_lbfgs(SmoothProblem(lambda x: (float("nan"), x), np.ones(2)))
+        # A finite start whose first trial step overflows.
+        with pytest.raises(OptimizationError), np.errstate(over="ignore"):
+            minimize_lbfgs(
+                SmoothProblem(lambda x: (float(np.exp(x @ x)), 2 * x * np.exp(x @ x)), np.full(2, 2.0))
+            )
+
+    def test_zero_gradient_start_returns_at_once(self):
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return float(x @ x), 2 * x
+
+        result = minimize_lbfgs(SmoothProblem(objective, np.zeros(3)))
+        assert result.loss == 0.0 and len(calls) == 1
 
 
 class TestProjectedGD:

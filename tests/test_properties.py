@@ -1,4 +1,4 @@
-"""Hypothesis properties of the temperature fits and their scalar solver."""
+"""Hypothesis properties of the temperature and vector-scaling fits and their solvers."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calibkit.calibrate import FitConfig, fit_cts, fit_ts
+from calibkit.calibrate import FitConfig, fit_cts, fit_ts, fit_vs
 from calibkit.core import LogitDataset, softmax
 from calibkit.optim import temperature_nll
 
@@ -100,3 +100,10 @@ def test_finite_gamma_is_clipped_per_class_optimum(seed, gamma):
     assert tied.alpha0 == free.alpha0
     lo, hi = max(free.alpha0 - gamma, CFG.alpha_lo), free.alpha0 + gamma
     np.testing.assert_allclose(tied.alphas, np.clip(free.alphas, lo, hi), rtol=0, atol=10 * TOL)
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_vs_never_worse_than_ts(seed):
+    ds = informative_dataset(seed)
+    assert fit_vs(ds).val_nll <= fit_ts(ds).val_nll + 1e-12
