@@ -15,7 +15,6 @@ from .core import (
     PredictionSet,
     Temperature,
     Vector,
-    argmax_tiebreak,
     predict,
     softmax,
     split_by_predicted,
@@ -23,8 +22,6 @@ from .core import (
 from .calibrate import (
     FitConfig,
     FitResult,
-    accuracy_delta,
-    apply,
     fit_cts,
     fit_ts,
     fit_vs,

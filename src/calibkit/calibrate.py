@@ -1,4 +1,4 @@
-"""Fitting and applying the three calibration methods.
+"""Fitting the three calibration methods, and model documents.
 
 Temperature scaling (TS) tunes one scalar by a bounded convex scalar search
 on the validation NLL. Class-wise temperature scaling (CTS) ties one
@@ -8,7 +8,9 @@ so every gamma runs the same scalar search once per predicted-class slice on
 [max(alpha0 - gamma, alpha_lo), alpha0 + gamma]: gamma = 0 collapses to TS
 and gamma = inf searches the full bounds. Vector scaling (VS) fits a
 per-class scale and bias by one L-BFGS solve from the TS solution and may
-change predictions; temperature variants never do.
+change predictions; temperature variants never do. Each fit ends with one
+`predict` pass over the validation set, which gives the fitted model's
+validation NLL and accuracy; applying a model to data is `core.predict`.
 """
 
 from __future__ import annotations
@@ -23,16 +25,15 @@ from .core import (
     ClassWiseTemperature,
     Identity,
     LogitDataset,
-    PredictionSet,
     Temperature,
     Vector,
     check_model_classes,
     predict,
-    softmax,
     split_by_predicted,
 )
+from .core import softmax  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 from .errors import ConfigError, EmptyDatasetError, InvalidModelError
-from .metrics import nll
+from .metrics import nll  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 from .optim import (
     ScalarProblem,
     SmoothProblem,
@@ -46,11 +47,9 @@ from .optim import projected_gd, vector_nll  # noqa: F401  (unused here; bench/t
 __all__ = [
     "FitConfig",
     "FitResult",
-    "apply",
     "fit_ts",
     "fit_cts",
     "fit_vs",
-    "accuracy_delta",
     "model_to_dict",
     "model_from_dict",
 ]
@@ -100,19 +99,6 @@ class FitResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def apply(model: CalibrationModel, logits: np.ndarray, predicted_class: int) -> np.ndarray:
-    """Calibrated probability vector for one record.
-
-    `predicted_class` must be the prediction of the *uncalibrated* logits;
-    class-wise temperatures route on it.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ConfigError("apply expects a single logit vector")
-    check_model_classes(model, z.shape[0])
-    return softmax(model.scaled_logits(z, predicted_class))
-
-
 def _boundary_warnings(name: str, alpha: float, cfg: FitConfig) -> list[str]:
     margin = 10 * cfg.scalar_tol
     if alpha - cfg.alpha_lo <= margin or cfg.alpha_hi - alpha <= margin:
@@ -144,14 +130,13 @@ def _scalar_fit(
 
 
 def _finish(model, val, evals, fallbacks, warnings) -> FitResult:
-    before = predict(val, Identity())
     after = predict(val, model)
     return FitResult(
         model=model,
-        val_nll=nll(val, model),
+        val_nll=after.mean_nll,
         iterations=evals,
         fallback_classes=fallbacks,
-        accuracy_before=before.accuracy,
+        accuracy_before=float(np.mean(np.argmax(val.logits, axis=1) == val.labels)),
         accuracy_after=after.accuracy,
         warnings=warnings,
     )
@@ -229,15 +214,6 @@ def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
         SmoothProblem(objective, x0, max_iters=cfg.max_iters, improvement_tol=cfg.improvement_tol)
     )
     return _finish(Vector(result.x[:k], result.x[k:]), val, evals, [], [])
-
-
-def accuracy_delta(before: PredictionSet, after: PredictionSet) -> tuple[float, int]:
-    """(accuracy(after) - accuracy(before), number of records whose prediction changed)."""
-    if before.num_records != after.num_records:
-        raise ConfigError("prediction sets cover different numbers of records")
-    delta = after.accuracy - before.accuracy
-    changed = int(np.sum(before.predicted != after.predicted))
-    return delta, changed
 
 
 _METHOD_NAMES = {Identity: "none", Temperature: "ts", ClassWiseTemperature: "cts", Vector: "vs"}

@@ -53,7 +53,10 @@ def _parse_values(text: str) -> list[float]:
         tok = tok.strip()
         if not tok:
             continue
-        out.append(math.inf if tok.lower() == "inf" else float(tok))
+        try:
+            out.append(float(tok))  # also reads "inf"
+        except ValueError:
+            raise ConfigError(f"expected a comma-separated list of numbers, got {tok!r}") from None
     if not out:
         raise ConfigError("empty value list")
     return out
@@ -135,9 +138,8 @@ def cmd_calibrate(args) -> int:
     report_before = compute_report(test, Identity(), binning)
     report_after = compute_report(test, model, binning)
     warnings += report_after.warnings
-    preds_before = predict(test, Identity())
-    preds_after = predict(test, model)
-    delta, changed = cal.accuracy_delta(preds_before, preds_after)
+    delta = report_after.accuracy - report_before.accuracy
+    changed = int(np.sum(report_before.predicted != report_after.predicted))
 
     doc = {
         "method": args.method,

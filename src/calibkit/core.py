@@ -1,19 +1,23 @@
 """Domain types and prediction mechanics.
 
 Holds the logit dataset and prediction containers, the calibration model
-variants, numerically stable softmax, and the predicted-class splitting that
-all per-class machinery builds on. Classes are indexed 0..K-1 everywhere,
-including file formats.
+variants, numerically stable softmax, `predict` (the library's single
+evaluation pass: one max-shifted exponential of the calibrated logits gives
+probabilities, predictions and per-record NLL), and the predicted-class
+splitting that all per-class machinery builds on. Classes are indexed 0..K-1
+everywhere, including file formats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ClassCountMismatchError,
+    EmptyDatasetError,
     InvalidInputError,
     InvalidModelError,
 )
@@ -28,7 +32,6 @@ __all__ = [
     "Vector",
     "CalibrationModel",
     "softmax",
-    "argmax_tiebreak",
     "predict",
     "split_by_predicted",
 ]
@@ -46,11 +49,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def argmax_tiebreak(probs: np.ndarray) -> int:
-    """Index of the maximum entry; ties broken toward the lowest index."""
-    return int(np.argmax(np.asarray(probs)))
 
 
 @dataclass(frozen=True)
@@ -100,15 +98,20 @@ class LogitDataset:
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """Per-record softmax probabilities, predicted label, confidence, correctness."""
+    """Per-record probabilities, predicted label, confidence, correctness and NLL.
+
+    `nll` is each record's negative log-likelihood of its true label,
+    log(sum_k exp(u_k)) - u_y on the max-shifted calibrated logits u.
+    """
 
     probs: np.ndarray
     predicted: np.ndarray
     confidence: np.ndarray
     correct: np.ndarray
+    nll: np.ndarray
 
     def __post_init__(self):
-        for name in ("probs", "predicted", "confidence", "correct"):
+        for name in ("probs", "predicted", "confidence", "correct", "nll"):
             arr = np.asarray(getattr(self, name))
             arr = arr.copy()
             arr.flags.writeable = False
@@ -125,6 +128,16 @@ class PredictionSet:
     @property
     def accuracy(self) -> float:
         return float(np.mean(self.correct))
+
+    @property
+    def mean_nll(self) -> float:
+        """Mean of `nll`; raises on an empty set or a non-finite mean."""
+        if self.num_records == 0:
+            raise EmptyDatasetError("NLL is undefined on an empty dataset")
+        value = float(np.mean(self.nll))
+        if not math.isfinite(value):
+            raise InvalidInputError("NLL is not finite: the calibrated logits overflow")
+        return value
 
 
 @dataclass(frozen=True)
@@ -214,10 +227,7 @@ class ClassWiseTemperature:
         return self.alphas.shape[0]
 
     def scaled_logits(self, logits: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-        z = np.asarray(logits, dtype=np.float64)
-        if z.ndim == 1:
-            return self.alphas[int(predicted)] * z
-        return self.alphas[np.asarray(predicted)][:, None] * z
+        return self.alphas[np.asarray(predicted)][:, None] * np.asarray(logits, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -264,24 +274,34 @@ def check_model_classes(model: CalibrationModel, num_classes: int) -> None:
 
 
 def predict(dataset: LogitDataset, model: CalibrationModel) -> PredictionSet:
-    """Apply a calibration model to every record of a dataset.
+    """Apply a calibration model to every record of a dataset in one pass.
 
-    Class-wise temperatures are routed by the prediction of the *raw* logits;
-    the reported predicted label is the argmax of the calibrated
-    probabilities (identical for temperature variants, possibly different
-    for vector scaling). Deterministic: ties go to the lowest class index.
+    Class-wise temperatures are routed by the argmax of the *raw* logits.
+    The calibrated logits are shifted so each row's maximum is 0 and
+    exponentiated once; that one pass gives the probabilities, the
+    predicted label (the argmax of the calibrated probabilities: identical
+    to the raw one for temperature variants, possibly different for vector
+    scaling), the confidence, the correctness and the per-record NLL.
+    Deterministic: ties go to the lowest class index. Raises
+    InvalidInputError if the calibrated logits contain NaN or Inf.
     """
     check_model_classes(model, dataset.num_classes)
-    raw_probs = softmax(dataset.logits)
-    raw_pred = np.argmax(raw_probs, axis=1)
-    if isinstance(model, Identity):
-        probs = raw_probs
-    else:
-        probs = softmax(model.scaled_logits(dataset.logits, raw_pred))
+    u = model.scaled_logits(dataset.logits, np.argmax(dataset.logits, axis=1))
+    if not np.all(np.isfinite(u)):
+        raise InvalidInputError("calibrated logits contain NaN or Inf")
+    u = u - u.max(axis=1, keepdims=True)
+    probs = np.exp(u)
+    total = probs.sum(axis=1)
+    probs /= total[:, None]
+    rows = np.arange(dataset.num_records)
     pred = np.argmax(probs, axis=1)
-    conf = probs[np.arange(probs.shape[0]), pred]
-    correct = pred == dataset.labels
-    return PredictionSet(probs=probs, predicted=pred, confidence=conf, correct=correct)
+    return PredictionSet(
+        probs=probs,
+        predicted=pred,
+        confidence=probs[rows, pred],
+        correct=pred == dataset.labels,
+        nll=np.log(total) - u[rows, dataset.labels],
+    )
 
 
 def split_by_predicted(preds: PredictionSet) -> list[ClassSlice]:

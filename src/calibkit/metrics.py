@@ -2,12 +2,13 @@
 
 Equal-width confidence binning, the binned expected calibration error (ECE),
 its per-predicted-class variants max-ECE and Avg-ECE, negative log-likelihood,
-and reliability-diagram aggregates.
+and reliability-diagram aggregates. Every metric of a (dataset, model) pair
+is read off one `core.predict` pass: the NLL is the mean of its per-record
+`nll`, not a second pass over the logits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -20,10 +21,10 @@ from .core import (
     PredictionSet,
     ClassSlice,
     predict,
-    softmax,
     split_by_predicted,
 )
-from .errors import ConfigError, EmptyDatasetError, InvalidInputError
+from .core import softmax  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
+from .errors import ConfigError, EmptyDatasetError
 
 __all__ = [
     "BinningConfig",
@@ -150,22 +151,14 @@ def avg_ece(class_eces: Mapping[int, float]) -> float:
 def nll(dataset: LogitDataset, model: CalibrationModel = Identity()) -> float:
     """Mean negative log-likelihood of the true labels under the calibrated model.
 
-    Each record contributes log(sum_k exp(u_k)) - u_y, with the calibrated
-    logits u shifted so the row maximum is 0; extreme logits therefore never
-    produce log(0) or overflow. This is the formula the temperature fits
-    minimize (`optim.temperature_nll`), with no floor on the
-    log-probabilities.
+    The mean of `predict(dataset, model).nll`: each record contributes
+    log(sum_k exp(u_k)) - u_y, with the calibrated logits u shifted so the
+    row maximum is 0, so extreme logits never produce log(0). This is the
+    formula the temperature fits minimize (`optim.temperature_nll`), with no
+    floor on the log-probabilities. Raises EmptyDatasetError on an empty
+    dataset and InvalidInputError if the value is not finite.
     """
-    if dataset.num_records == 0:
-        raise EmptyDatasetError("NLL is undefined on an empty dataset")
-    raw_pred = np.argmax(softmax(dataset.logits), axis=1)
-    u = model.scaled_logits(dataset.logits, raw_pred)
-    u = u - u.max(axis=1, keepdims=True)
-    u_y = u[np.arange(dataset.num_records), dataset.labels]
-    value = float(np.mean(np.log(np.exp(u).sum(axis=1)) - u_y))
-    if not math.isfinite(value):
-        raise InvalidInputError("calibrated logits contain NaN or Inf")
-    return value
+    return predict(dataset, model).mean_nll
 
 
 def reliability_rows(
@@ -200,7 +193,12 @@ class PerClassStats:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Aggregate calibration report for one (dataset, model) pair."""
+    """Aggregate calibration report for one (dataset, model) pair.
+
+    All values come from one `predict` pass. `predicted` is that pass's
+    per-record predicted labels, kept so that two reports on one dataset
+    can be compared record by record.
+    """
 
     accuracy: float
     ece: float
@@ -209,6 +207,7 @@ class MetricsReport:
     nll: float
     per_class: list[PerClassStats]
     binned: BinnedStats
+    predicted: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
 
@@ -217,7 +216,7 @@ def compute_report(
     model: CalibrationModel = Identity(),
     binning: BinningConfig = BinningConfig(),
 ) -> MetricsReport:
-    """Evaluate all calibration metrics of a model on a dataset."""
+    """Evaluate all calibration metrics of a model on a dataset from one `predict` pass."""
     if dataset.num_records == 0:
         raise EmptyDatasetError("cannot evaluate metrics on an empty dataset")
     preds = predict(dataset, model)
@@ -246,8 +245,9 @@ def compute_report(
         ece=ece(stats),
         max_ece=max_ece(eces),
         avg_ece=avg_ece(eces),
-        nll=nll(dataset, model),
+        nll=preds.mean_nll,
         per_class=per_class,
         binned=stats,
+        predicted=preds.predicted,
         warnings=warnings,
     )

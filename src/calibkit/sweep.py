@@ -1,12 +1,13 @@
 """Generate-fit-evaluate sweeps over noise rate, class size, gamma, and validation size.
 
 Each sweep point fits TS and CTS on a validation split and evaluates on a
-test split. Rows carry the test-set calibration metrics plus the fitted
-model's validation and test NLL (their gap is the generalization signal for
-the validation-size axis). Points (n_val trials on that axis) may run on
-worker threads, capped by the ``CALIBKIT_THREADS`` environment variable;
-results are gathered in submission order and rows are sorted by
-(axis_value, method), so results do not depend on scheduling.
+test split. Rows carry the test-set calibration metrics (`nll` is the test
+NLL) plus the fitted model's validation NLL and the gap |val_nll - nll|,
+the generalization signal for the validation-size axis. Points (n_val
+trials on that axis) may run on worker threads, capped by the
+``CALIBKIT_THREADS`` environment variable; results are gathered in
+submission order and rows are sorted by (axis_value, method), so results
+do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .calibrate import FitConfig, fit_cts, fit_ts
 from .errors import ConfigError
-from .metrics import BinningConfig, compute_report, nll
+from .metrics import BinningConfig, compute_report
+from .metrics import nll  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 from .synthetic import HeteroLogitSpec, gen_hetero_logits
 
 __all__ = ["SweepRow", "run_sweep", "SWEEP_AXES"]
@@ -41,7 +43,6 @@ class SweepRow:
     nll: float
     accuracy: float
     val_nll: float
-    test_nll: float
     nll_gap: float
 
 
@@ -69,8 +70,6 @@ def _map_points(fn, items: list) -> list:
 def _fit_and_eval(method, val, test, cfg, binning, axis_value) -> SweepRow:
     fit = fit_ts(val, cfg) if method == "ts" else fit_cts(val, cfg)
     report = compute_report(test, fit.model, binning)
-    val_nll = fit.val_nll
-    test_nll = report.nll
     return SweepRow(
         axis_value=axis_value,
         method=method,
@@ -79,9 +78,8 @@ def _fit_and_eval(method, val, test, cfg, binning, axis_value) -> SweepRow:
         avg_ece=report.avg_ece,
         nll=report.nll,
         accuracy=report.accuracy,
-        val_nll=val_nll,
-        test_nll=test_nll,
-        nll_gap=abs(val_nll - test_nll),
+        val_nll=fit.val_nll,
+        nll_gap=abs(fit.val_nll - report.nll),
     )
 
 
@@ -132,6 +130,8 @@ def _nval_rows(
     size-to-size comparison of the NLL gap; the test split is a single large
     independent draw per trial.
     """
+    if trials < 1:
+        raise ConfigError(f"the n_val axis needs at least 1 trial, got {trials}")
     k = base.num_classes
     bad = [v for v in values if float(v) % k != 0]
     if bad:
@@ -176,7 +176,6 @@ def _nval_rows(
                 nll=float(np.mean([r.nll for r in group])),
                 accuracy=float(np.mean([r.accuracy for r in group])),
                 val_nll=float(np.mean([r.val_nll for r in group])),
-                test_nll=float(np.mean([r.test_nll for r in group])),
                 nll_gap=float(np.mean([r.nll_gap for r in group])),
             )
         )
@@ -198,7 +197,7 @@ def run_sweep(
     size: sampling fraction of the first half of the classes.
     gamma: CTS radius on a fixed dataset (TS rows are gamma-independent).
     n_val: validation-set size, a multiple of K, averaged over `trials`
-    seeded trials.
+    (at least 1) seeded trials.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")

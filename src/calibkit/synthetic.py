@@ -19,7 +19,7 @@ give bit-identical datasets within this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -383,16 +383,13 @@ class HeteroLogitSpec:
             raise ConfigError("class sizes must be nonnegative with a positive total")
         if not np.all(scales > 0):
             raise ConfigError("scales must be positive")
-        if np.any(rates < 0) or np.any(rates >= 1):
+        if not np.all((rates >= 0) & (rates < 1)):
             raise ConfigError("noise rates must lie in [0, 1)")
         if not (self.margin > 0):
             raise ConfigError(f"margin must be positive, got {self.margin}")
         for name, arr in (("class_sizes", sizes), ("scales", scales), ("noise_rates", rates)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def with_seed(self, seed: int) -> "HeteroLogitSpec":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -405,20 +402,22 @@ class HeteroSplits:
 def _gen_split(spec: HeteroLogitSpec, rng: np.random.Generator) -> LogitDataset:
     k = spec.num_classes
     std = math.sqrt(spec.margin)
-    logit_blocks = []
-    label_blocks = []
+    logits = np.empty((int(spec.class_sizes.sum()), k))
+    labels = np.repeat(np.arange(k), spec.class_sizes)
+    ends = np.cumsum(spec.class_sizes)
     for c in range(k):
         n_c = int(spec.class_sizes[c])
         if n_c == 0:
             continue
-        scores = std * rng.standard_normal((n_c, k))
+        # Drawn and scaled in place, with the arithmetic of scale * (std * z + margin e_c).
+        scores = logits[ends[c] - n_c:ends[c]]
+        rng.standard_normal(out=scores)
+        scores *= std
         scores[:, c] += spec.margin
-        labels = np.full(n_c, c, dtype=np.int64)
+        scores *= spec.scales[c]
         flip = rng.random(n_c) < spec.noise_rates[c]
-        labels[flip] = rng.integers(0, k, size=int(flip.sum()))
-        logit_blocks.append(spec.scales[c] * scores)
-        label_blocks.append(labels)
-    return LogitDataset(logits=np.vstack(logit_blocks), labels=np.concatenate(label_blocks))
+        labels[ends[c] - n_c:ends[c]][flip] = rng.integers(0, k, size=int(flip.sum()))
+    return LogitDataset(logits=logits, labels=labels)
 
 
 def gen_hetero_logits(spec: HeteroLogitSpec) -> HeteroSplits:

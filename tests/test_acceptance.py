@@ -11,7 +11,7 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
-from calibkit.calibrate import FitConfig, accuracy_delta, fit_cts, fit_ts
+from calibkit.calibrate import FitConfig, fit_cts, fit_ts
 from calibkit.cli import main
 from calibkit.core import (
     ClassWiseTemperature,
@@ -170,10 +170,13 @@ def test_criterion_5_collapse_and_consistency():
     before = predict(ds, Identity())
     for _ in range(10):
         alpha = float(rng.uniform(1e-6, 100))
-        assert accuracy_delta(before, predict(ds, Temperature(alpha))) == (0.0, 0)
+        after = predict(ds, Temperature(alpha))
+        assert np.array_equal(after.predicted, before.predicted)
+        assert after.accuracy - before.accuracy == 0.0
         alphas = rng.uniform(1e-3, 100, 6)
-        cw = ClassWiseTemperature(1.0, alphas, math.inf)
-        assert accuracy_delta(before, predict(ds, cw)) == (0.0, 0)
+        after = predict(ds, ClassWiseTemperature(1.0, alphas, math.inf))
+        assert np.array_equal(after.predicted, before.predicted)
+        assert after.accuracy - before.accuracy == 0.0
 
     # Unit temperature is bitwise identical to no calibration.
     unit = predict(ds, Temperature(1.0))

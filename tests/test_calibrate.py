@@ -1,4 +1,4 @@
-"""Fitting TS, CTS, and VS; applying models; serialization."""
+"""Fitting TS, CTS, and VS; applying models with `predict`; serialization."""
 
 import math
 
@@ -7,8 +7,6 @@ import pytest
 
 from calibkit.calibrate import (
     FitConfig,
-    accuracy_delta,
-    apply,
     fit_cts,
     fit_ts,
     fit_vs,
@@ -19,7 +17,6 @@ from calibkit.core import (
     ClassWiseTemperature,
     Identity,
     LogitDataset,
-    PredictionSet,
     Temperature,
     Vector,
     predict,
@@ -27,7 +24,7 @@ from calibkit.core import (
     split_by_predicted,
 )
 from calibkit.errors import EmptyDatasetError, InvalidModelError, OptimizationError
-from calibkit.metrics import nll
+from calibkit.metrics import compute_report, nll
 from calibkit.optim import GradientProblem, nll_grad_vector, projected_gd, temperature_nll
 from calibkit.synthetic import HeteroLogitSpec, gen_hetero_logits
 
@@ -102,23 +99,32 @@ def gd_restarts_nll(val, cfg=FitConfig()):
     return nll(val, Vector(best.x[:k], best.x[k:]))
 
 
+def one_record(z) -> LogitDataset:
+    return LogitDataset(np.asarray([z], dtype=np.float64), np.array([0]))
+
+
 class TestApply:
+    """Applying a model to one record is `predict` on a one-row dataset."""
+
     def test_temperature_one_is_softmax(self):
         z = np.array([1.5, -0.5, 0.25])
-        np.testing.assert_array_equal(apply(Temperature(1.0), z, 0), softmax(z))
+        np.testing.assert_array_equal(predict(one_record(z), Temperature(1.0)).probs[0], softmax(z))
 
     def test_classwise_with_equal_alphas_collapses(self):
         z = np.array([0.3, 2.0, -1.0])
         cw = ClassWiseTemperature(0.7, np.full(3, 0.7), 0.0)
-        for pred in range(3):
+        # Rolling z routes the record through each class in turn.
+        for shift in range(3):
+            ds = one_record(np.roll(z, shift))
+            assert predict(ds, Identity()).predicted[0] == (1 + shift) % 3
             np.testing.assert_array_equal(
-                apply(cw, z, pred), apply(Temperature(0.7), z, pred)
+                predict(ds, cw).probs, predict(ds, Temperature(0.7)).probs
             )
 
     def test_identity_vector_scaling(self):
         z = np.array([0.2, -0.4])
         np.testing.assert_array_equal(
-            apply(Vector(np.ones(2), np.zeros(2)), z, 0), softmax(z)
+            predict(one_record(z), Vector(np.ones(2), np.zeros(2))).probs[0], softmax(z)
         )
 
     def test_nonpositive_temperature_rejected(self):
@@ -313,32 +319,35 @@ class TestFitVS:
 
 
 class TestAccuracyDelta:
+    """The accuracy change and changed-record count, read off two reports."""
+
     def test_identical_sets(self):
         rng = np.random.default_rng(55)
         ds = LogitDataset(rng.normal(size=(100, 3)), rng.integers(0, 3, 100))
-        preds = predict(ds, Identity())
-        assert accuracy_delta(preds, preds) == (0.0, 0)
+        report = compute_report(ds, Identity())
+        np.testing.assert_array_equal(report.predicted, predict(ds, Identity()).predicted)
+        assert report.accuracy - compute_report(ds, Identity()).accuracy == 0.0
 
     def test_temperature_never_changes_predictions(self):
         rng = np.random.default_rng(56)
         ds = LogitDataset(rng.normal(size=(10_000, 5)), rng.integers(0, 5, 10_000))
-        before = predict(ds, Identity())
+        before = compute_report(ds, Identity())
         for alpha in rng.uniform(1e-3, 100, 10):
-            after = predict(ds, Temperature(float(alpha)))
-            assert accuracy_delta(before, after) == (0.0, 0)
+            after = compute_report(ds, Temperature(float(alpha)))
+            assert np.array_equal(before.predicted, after.predicted)
+            assert after.accuracy - before.accuracy == 0.0
 
     def test_single_flip_counting(self):
-        probs = np.tile([0.6, 0.4], (100, 1))
-        pred = np.zeros(100, dtype=int)
+        logits = np.tile(np.log([0.6, 0.4]), (100, 1))
+        logits[0] = [0.05, 0.0]  # the only record a bias of 0.1 flips
         labels = np.zeros(100, dtype=int)
         labels[0] = 1  # record 0 is wrong before
-        before = PredictionSet(probs, pred, probs[:, 0], pred == labels)
-        pred_after = pred.copy()
-        pred_after[0] = 1  # flipped to correct
-        after = PredictionSet(probs, pred_after, probs[:, 0], pred_after == labels)
-        delta, changed = accuracy_delta(before, after)
-        assert changed == 1
-        assert abs(delta - 0.01) <= 1e-15
+        ds = LogitDataset(logits, labels)
+        before = compute_report(ds, Identity())
+        after = compute_report(ds, Vector(np.ones(2), np.array([0.0, 0.1])))
+        assert int(np.sum(before.predicted != after.predicted)) == 1
+        assert after.predicted[0] == 1  # flipped to correct
+        assert abs((after.accuracy - before.accuracy) - 0.01) <= 1e-15
 
 
 class TestSerialization:

@@ -9,7 +9,8 @@ import pytest
 
 from calibkit import sweep
 from calibkit.cli import main
-from calibkit.core import LogitDataset, softmax
+from calibkit.calibrate import model_from_dict
+from calibkit.core import Identity, LogitDataset, predict, softmax
 from calibkit.errors import ConfigError, FileFormatError
 from calibkit.io import read_binary_csv, read_logit_csv, write_logit_csv
 from calibkit.metrics import compute_report
@@ -145,6 +146,20 @@ class TestCalibrateCommand:
         report = json.loads(out.read_text())
         assert report["model"]["method"] == "vs"
         assert isinstance(report["changed_records"], int)
+
+    def test_changed_records_and_accuracy_match_predictions(self, tmp_path):
+        rng = np.random.default_rng(64)
+        val, test = wellspec_files(tmp_path, rng, n=1200)
+        out, model_path = tmp_path / "vs.json", tmp_path / "vs.model.json"
+        assert main(["calibrate", "--val", val, "--test", test, "--method", "vs",
+                     "--out-report", str(out), "--out-model", str(model_path)]) == 0
+        report = json.loads(out.read_text())
+        model, _ = model_from_dict(json.loads(model_path.read_text()))
+        dataset = read_logit_csv(test)
+        before, after = predict(dataset, Identity()), predict(dataset, model)
+        assert report["changed_records"] == int(np.sum(before.predicted != after.predicted))
+        assert report["accuracy_before"] == before.accuracy
+        assert report["accuracy_after"] == after.accuracy
 
     def test_vs_without_finite_minimizer_exits_4(self, tmp_path, capsys):
         # 20 records against 24 VS parameters: the NLL keeps falling as the
@@ -295,6 +310,13 @@ class TestSynthCommand:
         assert main(["synth", "--kind", "dnoisy", "--p-plus", "0.7", "--seed", "1",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_nan_noise_rate_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        assert main(["synth", "--kind", "hetero", "--noise", "0.1,nan", "--seed", "13",
+                     "--classes", "2", "--out", str(out)]) == 2
+        assert "noise rates" in capsys.readouterr().err
+        assert not (tmp_path / "h.json").exists()
+
 
 class TestSweep:
     def base_spec(self, sizes=300):
@@ -379,3 +401,27 @@ class TestSweep:
         assert main(["sweep", "--axis", "n_val", "--values", "20,22,23", "--seed", "13",
                      "--classes", "4", "--sizes", "200", "--trials", "1",
                      "--out", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--axis", "noise", "--values", "0,abc"],
+            ["sweep", "--axis", "noise", "--values", "0", "--sizes", "200,x"],
+            ["synth", "--kind", "hetero", "--scales", "1,x"],
+            ["synth", "--kind", "hetero", "--noise", "0.1,x"],
+        ],
+    )
+    def test_non_numeric_list_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "s.csv"
+        assert main(argv + ["--seed", "13", "--classes", "2", "--out", str(out)]) == 2
+        assert repr(argv[-1].split(",")[1]) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_nval_axis_needs_a_trial(self, tmp_path, trials):
+        with pytest.raises(ConfigError):
+            run_sweep("n_val", [100, 200], self.base_spec(), trials=trials, test_records=400)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--axis", "n_val", "--values", "100,200", "--seed", "13",
+                     "--classes", "4", "--trials", str(trials), "--out", str(out)]) == 2
+        assert not out.exists()

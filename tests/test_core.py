@@ -11,7 +11,6 @@ from calibkit.core import (
     LogitDataset,
     Temperature,
     Vector,
-    argmax_tiebreak,
     predict,
     softmax,
     split_by_predicted,
@@ -66,15 +65,35 @@ class TestSoftmax:
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
+def predicted_label(logits, model=Identity()) -> int:
+    ds = LogitDataset(np.asarray([logits], dtype=np.float64), np.array([0]))
+    return int(predict(ds, model).predicted[0])
+
+
 class TestArgmaxTiebreak:
+    """`predict` breaks every tie toward the lowest class index."""
+
     def test_two_way_tie_goes_low(self):
-        assert argmax_tiebreak([0.5, 0.5]) == 0
+        assert predicted_label([0.0, 0.0]) == 0
 
     def test_unique_max(self):
-        assert argmax_tiebreak([0.1, 0.7, 0.2]) == 1
+        assert predicted_label(np.log([0.1, 0.7, 0.2])) == 1
 
     def test_full_tie_goes_low(self):
-        assert argmax_tiebreak([1 / 3, 1 / 3, 1 / 3]) == 0
+        assert predicted_label([0.0, 0.0, 0.0]) == 0
+
+    def test_tied_calibrated_probabilities_predict_lowest_class(self):
+        # Raw argmax is class 2; the bias ties classes 1 and 2 exactly.
+        model = Vector(np.ones(3), np.array([0.0, 1.0, 0.0]))
+        assert predicted_label([0.0, 1.0, 2.0], model) == 1
+
+    def test_tied_raw_logits_route_to_lowest_class(self):
+        z = np.array([[1.0, 1.0, 0.0]])
+        ds = LogitDataset(z, np.array([0]))
+        cw = ClassWiseTemperature(1.0, np.array([2.0, 0.5, 1.0]), np.inf)
+        preds = predict(ds, cw)
+        np.testing.assert_array_equal(preds.probs, predict(ds, Temperature(2.0)).probs)
+        assert preds.predicted[0] == 0
 
 
 class TestLogitDataset:
@@ -214,3 +233,17 @@ class TestSplitByPredicted:
         merged = np.concatenate([s.indices for s in slices]) if slices else np.array([])
         assert merged.size == n
         assert np.array_equal(np.sort(merged), np.arange(n))
+
+    def test_per_record_nll_is_minus_log_probability_of_label(self):
+        rng = np.random.default_rng(7)
+        ds = LogitDataset(rng.normal(size=(400, 5)) * 3, rng.integers(0, 5, 400))
+        for model in (Identity(), Temperature(0.4), Vector(np.linspace(0.5, 2, 5), np.linspace(-1, 1, 5))):
+            preds = predict(ds, model)
+            expected = -np.log(preds.probs[np.arange(400), ds.labels])
+            np.testing.assert_allclose(preds.nll, expected, rtol=1e-12, atol=1e-15)
+            assert not preds.nll.flags.writeable
+
+    def test_non_finite_calibrated_logits_rejected(self):
+        ds = LogitDataset(np.array([[10.0, 1.0]]), np.array([0]))
+        with pytest.raises(InvalidInputError), np.errstate(over="ignore"):
+            predict(ds, Vector(np.full(2, 1e308), np.zeros(2)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from calibkit.core import Identity, LogitDataset, Temperature, Vector, predict, split_by_predicted
+from calibkit.calibrate import fit_cts, fit_ts, fit_vs
 from calibkit.errors import ConfigError, EmptyDatasetError, InvalidInputError
 from calibkit.metrics import (
     BinnedStats,
@@ -234,6 +235,10 @@ class TestNll:
         ds = LogitDataset(np.array([[10.0, 1.0]]), np.array([0]))
         with pytest.raises(InvalidInputError), np.errstate(over="ignore", invalid="ignore"):
             nll(ds, Vector(np.full(2, 1e308), np.zeros(2)))
+        # Finite calibrated logits whose max-shift overflows to -inf.
+        ds = LogitDataset(np.array([[1.0, -1.0]]), np.array([1]))
+        with pytest.raises(InvalidInputError), np.errstate(over="ignore", invalid="ignore"):
+            nll(ds, Vector(np.full(2, 1.7e308), np.zeros(2)))
 
     def test_temperature_derivative_matches_finite_differences(self):
         from calibkit.optim import temperature_nll
@@ -294,3 +299,30 @@ class TestReport:
         report = compute_report(ds)
         assert any("never predicted" in w for w in report.warnings)
         assert {row.class_index for row in report.per_class} == {0}
+
+
+class TestOnePass:
+    """Every NLL the library reports is the mean of one `predict` pass."""
+
+    def test_report_nll_metric_and_fit_agree_exactly(self):
+        rng = np.random.default_rng(31)
+        k = 4
+        logits = rng.normal(size=(4000, k)) * 2
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        labels = np.minimum((rng.random(4000)[:, None] > np.cumsum(p, axis=1)).sum(axis=1), k - 1)
+        val = LogitDataset(logits[:2000] * 1.5, labels[:2000])
+        test = LogitDataset(logits[2000:] * 1.5, labels[2000:])
+        for fit in (fit_ts(val), fit_cts(val), fit_vs(val)):
+            value = nll(test, fit.model)
+            assert compute_report(test, fit.model).nll == value
+            assert float(np.mean(predict(test, fit.model).nll)) == value
+            assert fit.val_nll == nll(val, fit.model)
+
+    def test_report_predicted_is_the_prediction_pass(self):
+        rng = np.random.default_rng(32)
+        ds = LogitDataset(rng.normal(size=(500, 3)), rng.integers(0, 3, 500))
+        model = Vector(np.array([1.0, 0.5, 2.0]), np.array([0.3, 0.0, -0.3]))
+        report = compute_report(ds, model)
+        np.testing.assert_array_equal(report.predicted, predict(ds, model).predicted)
+        assert not report.predicted.flags.writeable

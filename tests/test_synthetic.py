@@ -312,6 +312,8 @@ class TestGenHeteroLogits:
         with pytest.raises(ConfigError):
             hetero_spec(noise_rates=np.full(10, 1.0))
         with pytest.raises(ConfigError):
+            hetero_spec(noise_rates=np.full(10, np.nan))
+        with pytest.raises(ConfigError):
             hetero_spec(class_sizes=np.zeros(10, dtype=int))
         with pytest.raises(ConfigError):
             hetero_spec(margin=0.0)
