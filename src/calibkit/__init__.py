@@ -8,7 +8,6 @@ how label noise and sample size drive under- and over-confidence.
 
 from .core import (
     CalibrationModel,
-    ClassSlice,
     ClassWiseTemperature,
     Identity,
     LogitDataset,
@@ -34,7 +33,6 @@ from .metrics import (
     MetricsReport,
     avg_ece,
     bin_stats,
-    class_ece,
     compute_report,
     ece,
     max_ece,

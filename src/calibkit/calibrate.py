@@ -54,32 +54,33 @@ __all__ = [
     "model_from_dict",
 ]
 
+# Argument tolerance of every temperature search.
+SCALAR_TOL = 1e-6
+# Iteration cap and convergence threshold (loss improvement per accepted
+# step) of the VS L-BFGS solve.
+MAX_ITERS = 2000
+IMPROVEMENT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Search bounds, the multi-task radius, and optimizer settings.
+    """Search bounds, the multi-task radius, and the per-class fallback size.
 
     `alpha_lo`/`alpha_hi` bound the shared temperature (and each per-class
     search). The defaults are wide enough that no sane fixture ends up on a
     boundary; boundary hits are reported as warnings, not errors.
-    `max_iters` and `improvement_tol` configure the VS L-BFGS solve.
     """
 
     alpha_lo: float = 0.01
     alpha_hi: float = 100.0
     gamma: float = math.inf
     min_class_samples: int = 10
-    scalar_tol: float = 1e-6
-    max_iters: int = 2000
-    improvement_tol: float = 1e-10
 
     def __post_init__(self):
         if not (0 < self.alpha_lo <= self.alpha_hi):
             raise ConfigError(f"need 0 < alpha_lo <= alpha_hi, got [{self.alpha_lo}, {self.alpha_hi}]")
         if math.isnan(self.gamma) or self.gamma < 0:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
-        if self.scalar_tol <= 0:
-            raise ConfigError("scalar tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,22 +101,19 @@ class FitResult:
 
 
 def _boundary_warnings(name: str, alpha: float, cfg: FitConfig) -> list[str]:
-    margin = 10 * cfg.scalar_tol
+    margin = 10 * SCALAR_TOL
     if alpha - cfg.alpha_lo <= margin or cfg.alpha_hi - alpha <= margin:
         return [f"{name} temperature {alpha:.6g} is at a search boundary [{cfg.alpha_lo}, {cfg.alpha_hi}]"]
     return []
 
 
 def _scalar_fit(
-    val: LogitDataset,
-    cfg: FitConfig,
-    bounds: tuple[float, float] | None = None,
-    indices: np.ndarray | None = None,
+    val: LogitDataset, cfg: FitConfig, bounds: tuple[float, float] | None = None
 ) -> tuple[float, int]:
-    """Temperature minimizing (a slice of) the validation NLL, and the evaluations used.
+    """Temperature minimizing the NLL of `val`, and the evaluations used.
 
-    Every search starts at alpha = 1, so a slice's result depends only on
-    that slice. `bounds` defaults to [alpha_lo, alpha_hi].
+    Every search starts at alpha = 1, so a predicted-class slice's result
+    depends only on that slice. `bounds` defaults to [alpha_lo, alpha_hi].
     """
     lo, hi = bounds if bounds is not None else (cfg.alpha_lo, cfg.alpha_hi)
     evals = 0
@@ -123,9 +121,9 @@ def _scalar_fit(
     def objective(alpha: float) -> tuple[float, float, float]:
         nonlocal evals
         evals += 1
-        return temperature_nll(val, alpha, indices)
+        return temperature_nll(val, alpha)
 
-    alpha, _ = minimize_scalar(ScalarProblem(objective, lo, hi, tol=cfg.scalar_tol))
+    alpha, _ = minimize_scalar(ScalarProblem(objective, lo, hi, tol=SCALAR_TOL))
     return alpha, evals
 
 
@@ -153,8 +151,10 @@ def fit_ts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
 def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit class-wise temperature scaling under the configured gamma.
 
-    alpha0 is the TS solution. Each non-empty predicted-class slice then gets
-    its own temperature, minimizing that slice's NLL on
+    alpha0 is the TS solution. Records are split by the argmax of their raw
+    logits, the rule `predict` routes class temperatures by. Each non-empty
+    slice, taken once as a dataset of its own, then gets its own
+    temperature, minimizing that slice's NLL on
     [max(alpha0 - gamma, alpha_lo), alpha0 + gamma] (on [alpha_lo, alpha_hi]
     when gamma = inf); this is the joint optimum, because the objective is a
     sum of per-slice terms. Empty slices keep alpha0, and gamma = 0 copies
@@ -175,15 +175,16 @@ def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     alphas = np.full(val.num_classes, alpha0)
     fallbacks = []
     if bounds[0] < bounds[1]:
-        for s in split_by_predicted(predict(val, Identity())):
-            if decoupled and s.count < cfg.min_class_samples:
-                fallbacks.append(s.class_index)
+        raw_predicted = np.argmax(val.logits, axis=1)
+        for k, idx in enumerate(split_by_predicted(raw_predicted, val.num_classes)):
+            if decoupled and idx.size < cfg.min_class_samples:
+                fallbacks.append(k)
                 continue
-            if s.count == 0:
+            if idx.size == 0:
                 continue
-            alphas[s.class_index], used = _scalar_fit(val, cfg, bounds, s.indices)
+            alphas[k], used = _scalar_fit(val.subset(idx), cfg, bounds)
             evals += used
-            warnings += _boundary_warnings(f"CTS class {s.class_index}", alphas[s.class_index], cfg)
+            warnings += _boundary_warnings(f"CTS class {k}", alphas[k], cfg)
     model = ClassWiseTemperature(alpha0, alphas, cfg.gamma)
     return _finish(model, val, evals, fallbacks, warnings)
 
@@ -194,7 +195,7 @@ def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     The solve starts at the TS solution (scale alpha_TS * 1, bias 0). The
     NLL is jointly convex in (scale, bias) and every accepted step lowers
     it, so the fitted NLL is never worse than the TS solution's. It raises
-    OptimizationError if it does not converge within `cfg.max_iters`
+    OptimizationError if it does not converge within `MAX_ITERS`
     iterations. Vector scaling can change predictions, so the result reports
     accuracy before and after.
     """
@@ -211,7 +212,7 @@ def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
 
     x0 = np.concatenate([np.full(k, alpha_ts), np.zeros(k)])
     result = minimize_lbfgs(
-        SmoothProblem(objective, x0, max_iters=cfg.max_iters, improvement_tol=cfg.improvement_tol)
+        SmoothProblem(objective, x0, max_iters=MAX_ITERS, improvement_tol=IMPROVEMENT_TOL)
     )
     return _finish(Vector(result.x[:k], result.x[k:]), val, evals, [], [])
 

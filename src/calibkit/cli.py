@@ -88,6 +88,19 @@ def _fit_config(args, gamma: float | None = None) -> cal.FitConfig:
     )
 
 
+def _hetero_spec(args) -> HeteroLogitSpec:
+    """The `--classes/--sizes/--scales/--noise/--margin/--seed` generator settings."""
+    k = args.classes
+    return HeteroLogitSpec(
+        num_classes=k,
+        class_sizes=_broadcast(_parse_values(args.sizes), k, "--sizes"),
+        scales=_broadcast(_parse_values(args.scales), k, "--scales"),
+        noise_rates=_broadcast(_parse_values(args.noise), k, "--noise"),
+        margin=args.margin,
+        seed=args.seed,
+    )
+
+
 def _per_class_table(num_classes: int, before, after) -> list[dict]:
     before_by_class = {row.class_index: row for row in before.per_class}
     after_by_class = {row.class_index: row for row in after.per_class}
@@ -241,15 +254,7 @@ def cmd_synth(args) -> int:
             {"n": args.n, "epsilon": args.epsilon, "trials": args.trials, "files": [args.out]}
         )
     else:
-        k = args.classes
-        spec = HeteroLogitSpec(
-            num_classes=k,
-            class_sizes=_broadcast(_parse_values(args.sizes), k, "--sizes").astype(np.int64),
-            scales=_broadcast(_parse_values(args.scales), k, "--scales"),
-            noise_rates=_broadcast(_parse_values(args.noise), k, "--noise"),
-            margin=args.margin,
-            seed=args.seed,
-        )
+        spec = _hetero_spec(args)
         splits = gen_hetero_logits(spec)
         stem, ext = os.path.splitext(args.out)
         files = []
@@ -259,7 +264,7 @@ def cmd_synth(args) -> int:
             files.append(path)
         sidecar.update(
             {
-                "num_classes": k,
+                "num_classes": spec.num_classes,
                 "class_sizes": spec.class_sizes.tolist(),
                 "scales": spec.scales.tolist(),
                 "noise_rates": spec.noise_rates.tolist(),
@@ -273,19 +278,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    k = args.classes
-    base = HeteroLogitSpec(
-        num_classes=k,
-        class_sizes=_broadcast(_parse_values(args.sizes), k, "--sizes").astype(np.int64),
-        scales=_broadcast(_parse_values(args.scales), k, "--scales"),
-        noise_rates=_broadcast(_parse_values(args.noise), k, "--noise"),
-        margin=args.margin,
-        seed=args.seed,
-    )
     rows = run_sweep(
         axis=args.axis,
         values=_parse_values(args.values),
-        base=base,
+        base=_hetero_spec(args),
         cfg=_fit_config(args),
         binning=BinningConfig(args.bins),
         trials=args.trials,

@@ -3,9 +3,10 @@
 Holds the logit dataset and prediction containers, the calibration model
 variants, numerically stable softmax, `predict` (the library's single
 evaluation pass: one max-shifted exponential of the calibrated logits gives
-probabilities, predictions and per-record NLL), and the predicted-class
-splitting that all per-class machinery builds on. Classes are indexed 0..K-1
-everywhere, including file formats.
+probabilities, predictions and per-record NLL), and `split_by_predicted`,
+which turns a vector of labels into one plain index array per class: CTS
+fits split by the raw argmax and per-class metrics by the predicted label,
+each once. Classes are indexed 0..K-1 everywhere, including file formats.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
 __all__ = [
     "LogitDataset",
     "PredictionSet",
-    "ClassSlice",
     "Identity",
     "Temperature",
     "ClassWiseTemperature",
@@ -101,7 +101,10 @@ class PredictionSet:
     """Per-record probabilities, predicted label, confidence, correctness and NLL.
 
     `nll` is each record's negative log-likelihood of its true label,
-    log(sum_k exp(u_k)) - u_y on the max-shifted calibrated logits u.
+    log(sum_k exp(u_k)) - u_y on the max-shifted calibrated logits u. The
+    set holds read-only views of the arrays it is given, not copies: the
+    caller's own arrays stay writeable, and writing through them changes
+    the set.
     """
 
     probs: np.ndarray
@@ -112,8 +115,7 @@ class PredictionSet:
 
     def __post_init__(self):
         for name in ("probs", "predicted", "confidence", "correct", "nll"):
-            arr = np.asarray(getattr(self, name))
-            arr = arr.copy()
+            arr = np.asarray(getattr(self, name)).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -138,23 +140,6 @@ class PredictionSet:
         if not math.isfinite(value):
             raise InvalidInputError("NLL is not finite: the calibrated logits overflow")
         return value
-
-
-@dataclass(frozen=True)
-class ClassSlice:
-    """Record indices of the parent dataset whose predicted label is `class_index`."""
-
-    class_index: int
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).copy()
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def count(self) -> int:
-        return self.indices.shape[0]
 
 
 class Identity:
@@ -304,9 +289,10 @@ def predict(dataset: LogitDataset, model: CalibrationModel) -> PredictionSet:
     )
 
 
-def split_by_predicted(preds: PredictionSet) -> list[ClassSlice]:
-    """Partition record indices by predicted label into K (possibly empty) slices."""
-    return [
-        ClassSlice(class_index=k, indices=np.flatnonzero(preds.predicted == k))
-        for k in range(preds.num_classes)
-    ]
+def split_by_predicted(predicted: np.ndarray, num_classes: int) -> list[np.ndarray]:
+    """Record indices of each class 0..num_classes-1 in `predicted`, ascending.
+
+    Entry k holds the indices whose label is k, possibly none; together the
+    entries partition the records.
+    """
+    return [np.flatnonzero(predicted == k) for k in range(num_classes)]

@@ -1,7 +1,8 @@
 """Dataset, model, and report file I/O.
 
 Logit datasets are CSV with header ``logit_0,...,logit_{K-1},label``; binary
-feature datasets (two-atom synthetic output) use ``x_0,...,x_{d-1},label``.
+feature datasets (two-atom synthetic output) are written, never read back,
+with header ``x_0,...,x_{d-1},label``.
 Floats are written with shortest round-trip precision, so write/read is
 lossless and byte-deterministic. Parse failures report 1-based line numbers.
 """
@@ -15,12 +16,10 @@ import numpy as np
 
 from .core import LogitDataset
 from .errors import FileFormatError
-from .synthetic import BinaryDataset
 
 __all__ = [
     "read_logit_csv",
     "write_logit_csv",
-    "read_binary_csv",
     "write_binary_csv",
     "write_reliability_csv",
     "read_json",
@@ -28,18 +27,16 @@ __all__ = [
 ]
 
 
-def _parse_matrix_csv(path: str, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+def _parse_matrix_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline().rstrip("\r\n")
         if not header:
             raise FileFormatError("empty file, expected a header row", line=1)
         columns = header.split(",")
         width = len(columns) - 1
-        expected = [f"{prefix}{i}" for i in range(width)] + ["label"]
+        expected = [f"logit_{i}" for i in range(width)] + ["label"]
         if width < 1 or columns != expected:
-            raise FileFormatError(
-                f"bad header, expected {prefix}0,...,{prefix}{{K-1}},label", line=1
-            )
+            raise FileFormatError("bad header, expected logit_0,...,logit_{K-1},label", line=1)
         values = []
         labels = []
         for lineno, line in enumerate(fh, start=2):
@@ -68,7 +65,7 @@ def _parse_matrix_csv(path: str, prefix: str) -> tuple[np.ndarray, np.ndarray]:
 
 def read_logit_csv(path: str) -> LogitDataset:
     """Load a logit dataset; labels must lie in [0, K) with K >= 2 columns."""
-    logits, labels = _parse_matrix_csv(path, "logit_")
+    logits, labels = _parse_matrix_csv(path)
     if logits.shape[1] < 2:
         raise FileFormatError("logit files need at least 2 classes", line=1)
     if labels.size and labels.max() >= logits.shape[1]:
@@ -77,15 +74,6 @@ def read_logit_csv(path: str) -> LogitDataset:
             f"label {labels[bad]} out of range [0, {logits.shape[1]})", line=bad + 2
         )
     return LogitDataset(logits=logits, labels=labels)
-
-
-def read_binary_csv(path: str) -> BinaryDataset:
-    """Load a binary feature dataset; labels must be 0 or 1."""
-    x, y = _parse_matrix_csv(path, "x_")
-    if y.size and y.max() > 1:
-        bad = int(np.argmax(y > 1))
-        raise FileFormatError(f"binary label {y[bad]} must be 0 or 1", line=bad + 2)
-    return BinaryDataset(x=x, y=y)
 
 
 def _write_matrix_csv(path: str, prefix: str, data: np.ndarray, labels: np.ndarray) -> None:
@@ -100,7 +88,8 @@ def write_logit_csv(dataset: LogitDataset, path: str) -> None:
     _write_matrix_csv(path, "logit_", dataset.logits, dataset.labels)
 
 
-def write_binary_csv(dataset: BinaryDataset, path: str) -> None:
+def write_binary_csv(dataset, path: str) -> None:
+    """Write a `synthetic.BinaryDataset` (features `x`, 0/1 labels `y`)."""
     _write_matrix_csv(path, "x_", dataset.x, dataset.y)
 
 

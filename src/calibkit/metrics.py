@@ -4,7 +4,8 @@ Equal-width confidence binning, the binned expected calibration error (ECE),
 its per-predicted-class variants max-ECE and Avg-ECE, negative log-likelihood,
 and reliability-diagram aggregates. Every metric of a (dataset, model) pair
 is read off one `core.predict` pass: the NLL is the mean of its per-record
-`nll`, not a second pass over the logits.
+`nll`, not a second pass over the logits, and the per-class ECEs come from
+`compute_report`, which splits that pass's predictions by class once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .core import (
     Identity,
     LogitDataset,
     PredictionSet,
-    ClassSlice,
     predict,
     split_by_predicted,
 )
@@ -33,7 +33,6 @@ __all__ = [
     "MetricsReport",
     "bin_stats",
     "ece",
-    "class_ece",
     "max_ece",
     "avg_ece",
     "nll",
@@ -115,23 +114,6 @@ def ece(stats: BinnedStats) -> float:
     weights = stats.counts[mask] / stats.total
     gaps = np.abs(stats.mean_accuracy[mask] - stats.mean_confidence[mask])
     return float(np.sum(weights * gaps))
-
-
-def class_ece(
-    preds: PredictionSet, slices: list[ClassSlice], binning: BinningConfig
-) -> dict[int, float]:
-    """ECE restricted to each predicted-class slice.
-
-    Classes that were never predicted are absent from the result rather than
-    reported as zero.
-    """
-    out: dict[int, float] = {}
-    for s in slices:
-        if s.count == 0:
-            continue
-        stats = _binned(preds.confidence[s.indices], preds.correct[s.indices], binning)
-        out[s.class_index] = ece(stats)
-    return out
 
 
 def max_ece(class_eces: Mapping[int, float]) -> float:
@@ -216,29 +198,35 @@ def compute_report(
     model: CalibrationModel = Identity(),
     binning: BinningConfig = BinningConfig(),
 ) -> MetricsReport:
-    """Evaluate all calibration metrics of a model on a dataset from one `predict` pass."""
+    """Evaluate all calibration metrics of a model on a dataset from one `predict` pass.
+
+    `per_class` has one entry per predicted class, in class order; classes
+    never predicted are left out (with a warning) rather than reported as
+    zero. Each entry's ECE, accuracy and mean confidence come from one
+    gather of that class's records.
+    """
     if dataset.num_records == 0:
         raise EmptyDatasetError("cannot evaluate metrics on an empty dataset")
     preds = predict(dataset, model)
-    slices = split_by_predicted(preds)
-    eces = class_ece(preds, slices, binning)
     stats = bin_stats(preds, binning)
 
     per_class = []
     warnings = []
-    for s in slices:
-        if s.count == 0:
-            warnings.append(f"class {s.class_index} was never predicted; excluded from max/Avg-ECE")
+    for k, idx in enumerate(split_by_predicted(preds.predicted, preds.num_classes)):
+        if idx.size == 0:
+            warnings.append(f"class {k} was never predicted; excluded from max/Avg-ECE")
             continue
+        confidence, correct = preds.confidence[idx], preds.correct[idx]
         per_class.append(
             PerClassStats(
-                class_index=s.class_index,
-                count=s.count,
-                ece=eces[s.class_index],
-                accuracy=float(np.mean(preds.correct[s.indices])),
-                mean_confidence=float(np.mean(preds.confidence[s.indices])),
+                class_index=k,
+                count=idx.size,
+                ece=ece(_binned(confidence, correct, binning)),
+                accuracy=float(np.mean(correct)),
+                mean_confidence=float(np.mean(confidence)),
             )
         )
+    eces = {row.class_index: row.ece for row in per_class}
 
     return MetricsReport(
         accuracy=preds.accuracy,

@@ -3,8 +3,10 @@
 Bounded convex scalar minimization (safeguarded Newton with a bisection
 fallback), L-BFGS for smooth unconstrained problems, projected gradient
 descent with backtracking, and the calibration loss under scalar-temperature
-and vector scaling with its analytic derivatives. Everything here is
-deterministic.
+and vector scaling with its analytic derivatives. The losses run over every
+record of the dataset they are given: a per-class fit slices its records
+once, into a dataset of their own, and never gathers them again per
+evaluation. Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -288,23 +290,15 @@ def minimize_lbfgs(problem: SmoothProblem) -> GDResult:
     )
 
 
-def _select(dataset: LogitDataset, indices: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    if indices is None:
-        return dataset.logits, dataset.labels
-    idx = np.asarray(indices, dtype=np.int64)
-    return dataset.logits[idx], dataset.labels[idx]
-
-
-def temperature_nll(
-    dataset: LogitDataset, alpha: float, indices: np.ndarray | None = None
-) -> tuple[float, float, float]:
+def temperature_nll(dataset: LogitDataset, alpha: float) -> tuple[float, float, float]:
     """Mean NLL of the true labels under softmax(alpha * logits) and its alpha-derivatives.
 
     Returns (mean NLL, mean(E_p[z] - z_y), mean(Var_p[z])) from one softmax
-    pass, optionally on a slice of the records. The second derivative is a
+    pass over every record of `dataset`; a CTS fit passes each
+    predicted-class slice as its own dataset. The second derivative is a
     variance, so the NLL is convex in alpha.
     """
-    z, y = _select(dataset, indices)
+    z, y = dataset.logits, dataset.labels
     u = z - z.max(axis=1, keepdims=True)  # shift-invariant; every row's max is 0
     e = alpha * u
     np.exp(e, out=e)

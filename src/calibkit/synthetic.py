@@ -373,7 +373,16 @@ class HeteroLogitSpec:
         k = self.num_classes
         if k < 2:
             raise ConfigError("need at least 2 classes")
-        sizes = np.asarray(self.class_sizes, dtype=np.int64).copy()
+        sizes = np.asarray(self.class_sizes)
+        if sizes.dtype.kind not in "iu":
+            # A cast to int64 would truncate a fraction and turn NaN, inf or
+            # anything past 2**63 into garbage with only a RuntimeWarning.
+            x = sizes.astype(np.float64)
+            whole = np.isfinite(x) & (np.floor(x) == x) & (np.abs(x) < 2.0**63)
+            if not np.all(whole):
+                bad = float(x[~whole][0])
+                raise ConfigError(f"class sizes must be whole numbers below 2**63, got {bad!r}")
+        sizes = sizes.astype(np.int64)
         scales = np.asarray(self.scales, dtype=np.float64).copy()
         rates = np.asarray(self.noise_rates, dtype=np.float64).copy()
         for name, arr in (("class_sizes", sizes), ("scales", scales), ("noise_rates", rates)):

@@ -19,10 +19,9 @@ from calibkit.core import (
     LogitDataset,
     Temperature,
     predict,
-    split_by_predicted,
 )
 from calibkit.io import read_logit_csv, write_logit_csv
-from calibkit.metrics import BinningConfig, bin_stats, class_ece, compute_report, ece
+from calibkit.metrics import BinningConfig, compute_report
 from calibkit.optim import (
     nll_grad_vector,
     temperature_nll,
@@ -45,9 +44,8 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def preds_from_probs(prob_rows, labels):
-    ds = LogitDataset(np.log(np.asarray(prob_rows, dtype=np.float64)), np.asarray(labels))
-    return predict(ds, Identity())
+def dataset_from_probs(prob_rows, labels):
+    return LogitDataset(np.log(np.asarray(prob_rows, dtype=np.float64)), np.asarray(labels))
 
 
 def two_class_fixture(conf_a, conf_b):
@@ -55,7 +53,7 @@ def two_class_fixture(conf_a, conf_b):
     rest_a, rest_b = 1.0 - conf_a, 1.0 - conf_b
     probs = [[conf_a, rest_a * 0.6, rest_a * 0.4]] * 100 + [[rest_b * 0.6, conf_b, rest_b * 0.4]] * 100
     labels = [0] * 52 + [2] * 48 + [1] * 48 + [2] * 52
-    return preds_from_probs(probs, labels)
+    return dataset_from_probs(probs, labels)
 
 
 def test_criterion_1_two_atom_closed_form_exact():
@@ -135,18 +133,18 @@ def test_criterion_3_rare_atom_statistics():
 def test_criterion_4_merged_bin_worked_example_exact():
     one_bin = BinningConfig(1)
 
-    preds = two_class_fixture(0.6, 0.4)
-    eces = class_ece(preds, split_by_predicted(preds), one_bin)
+    report = compute_report(two_class_fixture(0.6, 0.4), Identity(), one_bin)
+    eces = {row.class_index: row.ece for row in report.per_class}
     assert abs(eces[0] - 0.08) <= 1e-12
     assert abs(eces[1] - 0.08) <= 1e-12
-    merged_shared = ece(bin_stats(preds, one_bin))
+    merged_shared = report.ece
     assert abs(merged_shared - 0.0) <= 1e-12
 
-    preds = two_class_fixture(0.54, 0.5)
-    eces = class_ece(preds, split_by_predicted(preds), one_bin)
+    report = compute_report(two_class_fixture(0.54, 0.5), Identity(), one_bin)
+    eces = {row.class_index: row.ece for row in report.per_class}
     assert abs(eces[0] - 0.02) <= 1e-12
     assert abs(eces[1] - 0.02) <= 1e-12
-    merged_classwise = ece(bin_stats(preds, one_bin))
+    merged_classwise = report.ece
     assert abs(merged_classwise - 0.02) <= 1e-12
 
     print(f"ACCEPTANCE 4 PASS: per-class 0.08/0.08 and 0.02/0.02, "

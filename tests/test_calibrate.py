@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from calibkit import calibrate
 from calibkit.calibrate import (
     FitConfig,
     fit_cts,
@@ -48,9 +49,9 @@ def hetero_dataset(rng, n, scale_a=3.0, scale_b=0.3):
     return LogitDataset(scales[:, None] * base.logits, base.labels)
 
 
-def grid_argmin(dataset, lo=0.01, hi=100.0, points=10_001, indices=None):
+def grid_argmin(dataset, lo=0.01, hi=100.0, points=10_001):
     grid = np.linspace(lo, hi, points)
-    vals = np.array([temperature_nll(dataset, a, indices)[0] for a in grid])
+    vals = np.array([temperature_nll(dataset, a)[0] for a in grid])
     return grid[int(np.argmin(vals))], grid[1] - grid[0]
 
 
@@ -68,7 +69,7 @@ def gd_restarts_nll(val, cfg=FitConfig()):
     """Reference VS fit: the better of two projected gradient descent runs.
 
     One run starts at the identity and one at the TS solution, with step
-    0.1 and at most `cfg.max_iters` iterations each. Returns the validation
+    0.1 and at most `calibrate.MAX_ITERS` iterations each. Returns the validation
     NLL of the better run's model.
     """
     k = val.num_classes
@@ -90,8 +91,8 @@ def gd_restarts_nll(val, cfg=FitConfig()):
                 gradient=lambda x: np.concatenate(triple(x)[1:]),
                 project=lambda x: x,
                 x0=x0,
-                max_iters=cfg.max_iters,
-                improvement_tol=cfg.improvement_tol,
+                max_iters=calibrate.MAX_ITERS,
+                improvement_tol=calibrate.IMPROVEMENT_TOL,
             )
         )
         if best is None or run.loss < best.loss:
@@ -204,12 +205,11 @@ class TestFitCTS:
         rng = np.random.default_rng(46)
         ds = LogitDataset(rng.normal(size=(600, 3)) * 2, rng.integers(0, 3, 600))
         fit = fit_cts(ds, FitConfig(gamma=math.inf))
-        slices = split_by_predicted(predict(ds, Identity()))
-        for s in slices:
-            if s.class_index in fit.fallback_classes or s.count == 0:
+        for k, idx in enumerate(split_by_predicted(np.argmax(ds.logits, axis=1), 3)):
+            if k in fit.fallback_classes or idx.size == 0:
                 continue
-            best, step = grid_argmin(ds, indices=s.indices)
-            assert abs(fit.model.alphas[s.class_index] - best) <= step
+            best, step = grid_argmin(ds.subset(idx))
+            assert abs(fit.model.alphas[k] - best) <= step
 
     def test_gamma_inf_nll_never_worse_than_ts(self):
         rng = np.random.default_rng(47)
@@ -257,6 +257,24 @@ class TestFitCTS:
         b = fit_cts(permuted, cfg).model.alphas[0]
         assert a == b
 
+    def test_slices_and_fallbacks_follow_raw_argmax(self):
+        # The last ten records tie once exponentiated (exp(-1e-17) == 1.0), so
+        # the calibrated argmax sends them to class 0; `predict` routes class
+        # temperatures by the raw argmax, which is class 1.
+        rng = np.random.default_rng(0)
+        logits = np.vstack([rng.normal(size=(40, 2)), np.tile([-1e-17, 0.0], (10, 1))])
+        val = LogitDataset(logits, np.concatenate([rng.integers(0, 2, 40), np.ones(10, dtype=int)]))
+        raw = np.argmax(val.logits, axis=1)
+        sizes = np.bincount(raw, minlength=2)
+        assert sizes.tolist() == [17, 33]
+        assert np.bincount(predict(val, Identity()).predicted, minlength=2).tolist() == [27, 23]
+        slice_fit = fit_ts(val.subset(np.flatnonzero(raw == 1)))
+        for min_samples in (10, 20, 30, 40):
+            fit = fit_cts(val, FitConfig(gamma=math.inf, min_class_samples=min_samples))
+            assert fit.fallback_classes == [k for k in range(2) if sizes[k] < min_samples]
+            if 1 not in fit.fallback_classes:
+                assert fit.model.alphas[1] == slice_fit.model.alpha
+
     def test_accuracy_preserved_exactly(self):
         rng = np.random.default_rng(51)
         ds = LogitDataset(rng.normal(size=(3000, 4)) * 2, rng.integers(0, 4, 3000))
@@ -302,11 +320,12 @@ class TestFitVS:
         _, ga, gb = nll_grad_vector(val, model.scale, model.bias)
         assert max(np.max(np.abs(ga)), np.max(np.abs(gb))) < 1e-5
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         rng = np.random.default_rng(53)
         val = hetero_dataset(rng, 5000)
+        monkeypatch.setattr(calibrate, "MAX_ITERS", 2)
         with pytest.raises(OptimizationError):
-            fit_vs(val, FitConfig(max_iters=2))
+            fit_vs(val)
 
     def test_reports_accuracy_change(self):
         rng = np.random.default_rng(54)

@@ -12,7 +12,7 @@ from calibkit.cli import main
 from calibkit.calibrate import model_from_dict
 from calibkit.core import Identity, LogitDataset, predict, softmax
 from calibkit.errors import ConfigError, FileFormatError
-from calibkit.io import read_binary_csv, read_logit_csv, write_logit_csv
+from calibkit.io import read_logit_csv, write_logit_csv
 from calibkit.metrics import compute_report
 from calibkit.sweep import run_sweep
 from calibkit.synthetic import HeteroLogitSpec
@@ -272,10 +272,12 @@ class TestSynthCommand:
         out = tmp_path / "d.csv"
         assert main(["synth", "--kind", "dnoisy", "--n", "100", "--p-plus", "0",
                      "--p-minus", "0", "--seed", "3", "--out", str(out)]) == 0
-        data = read_binary_csv(str(out))
-        assert data.num_records == 100
-        plus = data.x[:, 0] > 0
-        assert np.all(data.y[plus] == 1) and np.all(data.y[~plus] == 0)
+        assert out.read_text().splitlines()[0] == "x_0,x_1,label"
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        x, y = table[:, :-1], table[:, -1]
+        assert x.shape[0] == 100
+        plus = x[:, 0] > 0
+        assert np.all(y[plus] == 1) and np.all(y[~plus] == 0)
         sidecar = json.loads((tmp_path / "d.json").read_text())
         assert sidecar["kind"] == "dnoisy" and sidecar["seed"] == 3
 
@@ -416,6 +418,17 @@ class TestSweep:
         assert main(argv + ["--seed", "13", "--classes", "2", "--out", str(out)]) == 2
         assert repr(argv[-1].split(",")[1]) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["synth", "--kind", "hetero"], ["sweep", "--axis", "noise", "--values", "0"]]
+    )
+    @pytest.mark.parametrize("size, shown", [("2.7", "2.7"), ("nan", "nan"), ("1e30", "1e+30")])
+    def test_non_integral_sizes_exit_2(self, tmp_path, capsys, command, size, shown):
+        out = tmp_path / "s.csv"
+        assert main(command + ["--sizes", size, "--seed", "13", "--classes", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "class sizes" in err and f"got {shown}" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("trials", [0, -2])
     def test_nval_axis_needs_a_trial(self, tmp_path, trials):

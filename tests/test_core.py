@@ -9,6 +9,7 @@ from calibkit.core import (
     ClassWiseTemperature,
     Identity,
     LogitDataset,
+    PredictionSet,
     Temperature,
     Vector,
     predict,
@@ -203,34 +204,51 @@ class TestPredict:
         np.testing.assert_allclose(preds.probs[0], softmax([2.0, 0.0]), rtol=1e-15)
         np.testing.assert_allclose(preds.probs[1], softmax([0.0, 6.0]), rtol=1e-15)
 
+    def test_fields_are_read_only_views_not_copies(self):
+        rng = np.random.default_rng(8)
+        ds = LogitDataset(rng.normal(size=(50, 3)), rng.integers(0, 3, 50))
+        preds = predict(ds, Temperature(1.3))
+        for name in ("probs", "predicted", "confidence", "correct", "nll"):
+            field = getattr(preds, name)
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = field[0]
+        probs = np.array([[0.75, 0.25]])
+        given = PredictionSet(probs, np.array([0]), np.array([0.75]), np.array([True]), np.array([0.3]))
+        assert probs.flags.writeable
+        assert not given.probs.flags.writeable
+        assert np.shares_memory(given.probs, probs)
+
 
 class TestSplitByPredicted:
     def test_direct_grouping(self):
         ds = LogitDataset(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]), np.array([0, 1, 0]))
-        slices = split_by_predicted(predict(ds, Identity()))
-        np.testing.assert_array_equal(slices[0].indices, [0, 2])
-        np.testing.assert_array_equal(slices[1].indices, [1])
+        slices = split_by_predicted(predict(ds, Identity()).predicted, 2)
+        np.testing.assert_array_equal(slices[0], [0, 2])
+        np.testing.assert_array_equal(slices[1], [1])
 
     def test_degenerate_partition(self):
         logits = np.zeros((7, 5))
         logits[:, 3] = 4.0
-        slices = split_by_predicted(predict(LogitDataset(logits, np.full(7, 3)), Identity()))
-        assert slices[3].count == 7
-        assert all(slices[k].count == 0 for k in range(5) if k != 3)
+        slices = split_by_predicted(predict(LogitDataset(logits, np.full(7, 3)), Identity()).predicted, 5)
+        assert len(slices) == 5
+        assert slices[3].size == 7
+        assert all(slices[k].size == 0 for k in range(5) if k != 3)
 
     def test_sizes_sum_to_total(self):
         rng = np.random.default_rng(4)
         ds = LogitDataset(rng.normal(size=(1000, 10)), rng.integers(0, 10, 1000))
-        slices = split_by_predicted(predict(ds, Identity()))
-        assert sum(s.count for s in slices) == 1000
+        slices = split_by_predicted(predict(ds, Identity()).predicted, 10)
+        assert sum(s.size for s in slices) == 1000
 
     @given(st.integers(0, 400), st.integers(2, 9), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_partition_property(self, n, k, seed):
         rng = np.random.default_rng(seed)
         ds = LogitDataset(rng.normal(size=(n, k)), rng.integers(0, k, n))
-        slices = split_by_predicted(predict(ds, Identity()))
-        merged = np.concatenate([s.indices for s in slices]) if slices else np.array([])
+        slices = split_by_predicted(predict(ds, Identity()).predicted, k)
+        merged = np.concatenate(slices) if slices else np.array([])
+        assert all(np.all(np.diff(s) > 0) for s in slices)  # each slice ascending
         assert merged.size == n
         assert np.array_equal(np.sort(merged), np.arange(n))
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from calibkit.core import Identity, LogitDataset, Temperature, Vector, predict, split_by_predicted
+from calibkit.core import Identity, LogitDataset, Temperature, Vector, predict
 from calibkit.calibrate import fit_cts, fit_ts, fit_vs
 from calibkit.errors import ConfigError, EmptyDatasetError, InvalidInputError
 from calibkit.metrics import (
@@ -11,7 +11,6 @@ from calibkit.metrics import (
     BinningConfig,
     avg_ece,
     bin_stats,
-    class_ece,
     compute_report,
     ece,
     max_ece,
@@ -135,16 +134,21 @@ class TestEce:
             assert 0.0 <= value <= 1.0
 
 
+def class_eces(ds, binning):
+    """Per-class ECE of the raw logits by class index, as `compute_report` reports it."""
+    return {row.class_index: row.ece for row in compute_report(ds, Identity(), binning).per_class}
+
+
 class TestClassEce:
     def test_worked_example_per_class(self):
-        _, preds = two_class_fixture(0.6, 0.4)
-        eces = class_ece(preds, split_by_predicted(preds), BinningConfig(1))
+        ds, _ = two_class_fixture(0.6, 0.4)
+        eces = class_eces(ds, BinningConfig(1))
         assert set(eces) == {0, 1}
         assert abs(eces[0] - 0.08) <= 1e-12
         assert abs(eces[1] - 0.08) <= 1e-12
 
-        _, preds = two_class_fixture(0.54, 0.5)
-        eces = class_ece(preds, split_by_predicted(preds), BinningConfig(1))
+        ds, _ = two_class_fixture(0.54, 0.5)
+        eces = class_eces(ds, BinningConfig(1))
         assert abs(eces[0] - 0.02) <= 1e-12
         assert abs(eces[1] - 0.02) <= 1e-12
 
@@ -155,20 +159,20 @@ class TestClassEce:
         ds = LogitDataset(logits, rng.integers(0, 4, 300))
         preds = predict(ds, Identity())
         binning = BinningConfig(15)
-        eces = class_ece(preds, split_by_predicted(preds), binning)
+        eces = class_eces(ds, binning)
         assert set(eces) == {2}
         assert abs(eces[2] - ece(bin_stats(preds, binning))) <= 1e-15
 
     def test_empty_classes_absent_not_zero(self):
-        _, preds = two_class_fixture(0.6, 0.4)
-        eces = class_ece(preds, split_by_predicted(preds), BinningConfig(1))
+        ds, _ = two_class_fixture(0.6, 0.4)
+        eces = class_eces(ds, BinningConfig(1))
         assert 2 not in eces  # class 2 never predicted
 
 
 class TestMaxAvgEce:
     def test_worked_example_max(self):
-        _, preds = two_class_fixture(0.6, 0.4)
-        eces = class_ece(preds, split_by_predicted(preds), BinningConfig(1))
+        ds, _ = two_class_fixture(0.6, 0.4)
+        eces = class_eces(ds, BinningConfig(1))
         assert abs(max_ece(eces) - 0.08) <= 1e-12
 
     def test_equal_values(self):
@@ -183,13 +187,13 @@ class TestMaxAvgEce:
         ds = LogitDataset(rng.normal(size=(2000, 10)) * 2, rng.integers(0, 10, 2000))
         preds = predict(ds, Identity())
         binning = BinningConfig(15)
-        slices = split_by_predicted(preds)
-        eces = class_ece(preds, slices, binning)
+        eces = class_eces(ds, binning)
         brute = -1.0
-        for s in slices:
-            if s.count == 0:
+        for k in range(ds.num_classes):
+            idx = np.flatnonzero(preds.predicted == k)
+            if idx.size == 0:
                 continue
-            sub = LogitDataset(ds.logits[s.indices], ds.labels[s.indices])
+            sub = LogitDataset(ds.logits[idx], ds.labels[idx])
             brute = max(brute, ece(bin_stats(predict(sub, Identity()), binning)))
         assert abs(max_ece(eces) - brute) <= 1e-12
 

@@ -315,5 +315,9 @@ class TestGenHeteroLogits:
             hetero_spec(noise_rates=np.full(10, np.nan))
         with pytest.raises(ConfigError):
             hetero_spec(class_sizes=np.zeros(10, dtype=int))
+        for bad in (2.7, np.nan, np.inf, 1e30):
+            with pytest.raises(ConfigError, match="whole numbers"):
+                hetero_spec(class_sizes=np.full(10, bad))
+        assert hetero_spec(class_sizes=np.full(10, 20.0)).class_sizes.dtype == np.int64
         with pytest.raises(ConfigError):
             hetero_spec(margin=0.0)
