@@ -149,7 +149,7 @@ def cmd_calibrate(args) -> int:
             warnings.append(f"classes {fallbacks} fell back to the shared temperature")
 
     report_before = compute_report(test, Identity(), binning)
-    report_after = compute_report(test, model, binning)
+    report_after = report_before if args.method == "none" else compute_report(test, model, binning)
     warnings += report_after.warnings
     delta = report_after.accuracy - report_before.accuracy
     changed = int(np.sum(report_before.predicted != report_after.predicted))

@@ -1,9 +1,10 @@
 """Domain types and prediction mechanics.
 
 Holds the logit dataset and prediction containers, the calibration model
-variants, numerically stable softmax, `predict` (the library's single
-evaluation pass: one max-shifted exponential of the calibrated logits gives
-probabilities, predictions and per-record NLL), and `split_by_predicted`,
+variants, numerically stable softmax, `softmax_nll` (the library's one NLL
+kernel, which `predict` and both fit objectives in `optim` call), `predict`
+(the single evaluation pass: probabilities, predictions and per-record NLL
+from one kernel pass over the calibrated logits), and `split_by_predicted`,
 which turns a vector of labels into one plain index array per class: CTS
 fits split by the raw argmax and per-class metrics by the predicted label,
 each once. Classes are indexed 0..K-1 everywhere, including file formats.
@@ -32,6 +33,7 @@ __all__ = [
     "Vector",
     "CalibrationModel",
     "softmax",
+    "softmax_nll",
     "predict",
     "split_by_predicted",
 ]
@@ -49,6 +51,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_nll(u: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponentials, row sums and per-record NLL of shifted calibrated logits.
+
+    `u` holds calibrated logits already shifted so that each row's maximum
+    is 0; it is exponentiated in place and returned as the first value. The
+    NLL of record i is log(sum_k exp(u_ik)) - u_iy, with y = labels[i]; the
+    shift keeps every row sum in [1, K], so it never takes log(0).
+    """
+    u_y = u[np.arange(u.shape[0]), labels]
+    np.exp(u, out=u)
+    total = u.sum(axis=1)
+    return u, total, np.log(total) - u_y
 
 
 @dataclass(frozen=True)
@@ -145,7 +161,7 @@ class PredictionSet:
 class Identity:
     """No calibration: probabilities are the softmax of the raw logits."""
 
-    def scaled_logits(self, logits: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    def scaled_logits(self, logits: np.ndarray) -> np.ndarray:
         return np.asarray(logits, dtype=np.float64)
 
     def __eq__(self, other):
@@ -170,7 +186,7 @@ class Temperature:
             raise InvalidModelError(f"temperature must be finite and positive, got {self.alpha}")
         object.__setattr__(self, "alpha", float(self.alpha))
 
-    def scaled_logits(self, logits: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    def scaled_logits(self, logits: np.ndarray) -> np.ndarray:
         return self.alpha * np.asarray(logits, dtype=np.float64)
 
 
@@ -211,8 +227,9 @@ class ClassWiseTemperature:
     def num_classes(self) -> int:
         return self.alphas.shape[0]
 
-    def scaled_logits(self, logits: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-        return self.alphas[np.asarray(predicted)][:, None] * np.asarray(logits, dtype=np.float64)
+    def scaled_logits(self, logits: np.ndarray) -> np.ndarray:
+        z = np.asarray(logits, dtype=np.float64)
+        return self.alphas[np.argmax(z, axis=1)][:, None] * z
 
 
 @dataclass(frozen=True)
@@ -242,7 +259,7 @@ class Vector:
     def num_classes(self) -> int:
         return self.scale.shape[0]
 
-    def scaled_logits(self, logits: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    def scaled_logits(self, logits: np.ndarray) -> np.ndarray:
         return self.scale * np.asarray(logits, dtype=np.float64) + self.bias
 
 
@@ -261,9 +278,8 @@ def check_model_classes(model: CalibrationModel, num_classes: int) -> None:
 def predict(dataset: LogitDataset, model: CalibrationModel) -> PredictionSet:
     """Apply a calibration model to every record of a dataset in one pass.
 
-    Class-wise temperatures are routed by the argmax of the *raw* logits.
-    The calibrated logits are shifted so each row's maximum is 0 and
-    exponentiated once; that one pass gives the probabilities, the
+    The calibrated logits are shifted so each row's maximum is 0 and passed
+    once through `softmax_nll`; that one pass gives the probabilities, the
     predicted label (the argmax of the calibrated probabilities: identical
     to the raw one for temperature variants, possibly different for vector
     scaling), the confidence, the correctness and the per-record NLL.
@@ -271,21 +287,18 @@ def predict(dataset: LogitDataset, model: CalibrationModel) -> PredictionSet:
     InvalidInputError if the calibrated logits contain NaN or Inf.
     """
     check_model_classes(model, dataset.num_classes)
-    u = model.scaled_logits(dataset.logits, np.argmax(dataset.logits, axis=1))
+    u = model.scaled_logits(dataset.logits)
     if not np.all(np.isfinite(u)):
         raise InvalidInputError("calibrated logits contain NaN or Inf")
-    u = u - u.max(axis=1, keepdims=True)
-    probs = np.exp(u)
-    total = probs.sum(axis=1)
+    probs, total, nll = softmax_nll(u - u.max(axis=1, keepdims=True), dataset.labels)
     probs /= total[:, None]
-    rows = np.arange(dataset.num_records)
     pred = np.argmax(probs, axis=1)
     return PredictionSet(
         probs=probs,
         predicted=pred,
-        confidence=probs[rows, pred],
+        confidence=probs[np.arange(dataset.num_records), pred],
         correct=pred == dataset.labels,
-        nll=np.log(total) - u[rows, dataset.labels],
+        nll=nll,
     )
 
 

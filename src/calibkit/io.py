@@ -80,8 +80,10 @@ def _write_matrix_csv(path: str, prefix: str, data: np.ndarray, labels: np.ndarr
     width = data.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join([f"{prefix}{i}" for i in range(width)] + ["label"]) + "\n")
-        for row, label in zip(data, labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
+        # One row at a time: `data.tolist()` holds every entry as a Python
+        # float at once, about five times the array (196 MB at 50,000 x 100).
+        for row, label in zip(data, labels.tolist()):
+            fh.write(",".join(map(repr, row.tolist())) + f",{label}\n")
 
 
 def write_logit_csv(dataset: LogitDataset, path: str) -> None:

@@ -4,8 +4,9 @@ Equal-width confidence binning, the binned expected calibration error (ECE),
 its per-predicted-class variants max-ECE and Avg-ECE, negative log-likelihood,
 and reliability-diagram aggregates. Every metric of a (dataset, model) pair
 is read off one `core.predict` pass: the NLL is the mean of its per-record
-`nll`, not a second pass over the logits, and the per-class ECEs come from
-`compute_report`, which splits that pass's predictions by class once.
+`nll` from `core.softmax_nll`, the kernel the fits minimize, and the
+per-class ECEs come from `compute_report`, which splits that pass's
+predictions by class once.
 """
 
 from __future__ import annotations
@@ -135,9 +136,9 @@ def nll(dataset: LogitDataset, model: CalibrationModel = Identity()) -> float:
 
     The mean of `predict(dataset, model).nll`: each record contributes
     log(sum_k exp(u_k)) - u_y, with the calibrated logits u shifted so the
-    row maximum is 0, so extreme logits never produce log(0). This is the
-    formula the temperature fits minimize (`optim.temperature_nll`), with no
-    floor on the log-probabilities. Raises EmptyDatasetError on an empty
+    row maximum is 0, so extreme logits never produce log(0). It comes from
+    `core.softmax_nll`, the kernel the TS, CTS and VS objectives call, with
+    no floor on the log-probabilities. Raises EmptyDatasetError on an empty
     dataset and InvalidInputError if the value is not finite.
     """
     return predict(dataset, model).mean_nll

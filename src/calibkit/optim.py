@@ -3,10 +3,12 @@
 Bounded convex scalar minimization (safeguarded Newton with a bisection
 fallback), L-BFGS for smooth unconstrained problems, projected gradient
 descent with backtracking, and the calibration loss under scalar-temperature
-and vector scaling with its analytic derivatives. The losses run over every
-record of the dataset they are given: a per-class fit slices its records
-once, into a dataset of their own, and never gathers them again per
-evaluation. Everything here is deterministic.
+and vector scaling with its analytic derivatives. Both losses take their NLL
+from `core.softmax_nll`, the kernel `predict` uses, so the value a fit
+minimizes is the NLL a report gives. The losses run over every record of
+the dataset they are given: a per-class fit slices its records once, into a
+dataset of their own, and never gathers them again per evaluation.
+Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LogitDataset
+from .core import LogitDataset, softmax_nll
 from .core import softmax  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 from .errors import ConfigError, OptimizationError
 
@@ -300,16 +302,13 @@ def temperature_nll(dataset: LogitDataset, alpha: float) -> tuple[float, float, 
     """
     z, y = dataset.logits, dataset.labels
     u = z - z.max(axis=1, keepdims=True)  # shift-invariant; every row's max is 0
-    e = alpha * u
-    np.exp(e, out=e)
-    s = e.sum(axis=1)
+    e, s, nll = softmax_nll(alpha * u, y)
     mean_u = np.einsum("ij,ij->i", e, u) / s
     e *= u
     var_u = np.einsum("ij,ij->i", e, u) / s - mean_u * mean_u
-    u_y = u[np.arange(y.shape[0]), y]
     return (
-        float(np.mean(np.log(s) - alpha * u_y)),
-        float(np.mean(mean_u - u_y)),
+        float(np.mean(nll)),
+        float(np.mean(mean_u - u[np.arange(y.shape[0]), y])),
         float(np.mean(var_u)),
     )
 
@@ -336,17 +335,13 @@ def nll_grad_vector(
     """
     scale, bias = _check_vector_dims(dataset, scale, bias)
     z, y = dataset.logits, dataset.labels
-    rows = np.arange(z.shape[0])
     u = z * scale
     u += bias
     u -= u.max(axis=1, keepdims=True)  # shift-invariant; every row's max is 0
-    u_y = u[rows, y]
-    np.exp(u, out=u)
-    s = u.sum(axis=1)
-    loss = float(np.mean(np.log(s) - u_y))
-    u /= s[:, None]
-    u[rows, y] -= 1.0
-    return loss, np.einsum("ij,ij->j", u, z) / z.shape[0], u.mean(axis=0)
+    r, s, nll = softmax_nll(u, y)
+    r /= s[:, None]
+    r[np.arange(z.shape[0]), y] -= 1.0
+    return float(np.mean(nll)), np.einsum("ij,ij->j", r, z) / z.shape[0], r.mean(axis=0)
 
 
 def vector_nll(dataset: LogitDataset, scale: np.ndarray, bias: np.ndarray) -> float:

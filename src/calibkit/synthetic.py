@@ -43,6 +43,13 @@ __all__ = [
     "gen_hetero_logits",
 ]
 
+# Relative improvement threshold and iteration cap of the constrained
+# logistic fit's projected gradient descent.
+LOGISTIC_TOL = 1e-10
+LOGISTIC_MAX_ITERS = 5000
+# The large sample of each rare-atom trial is this many times the small one.
+LARGE_FACTOR = 30
+
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
@@ -77,10 +84,6 @@ class NoisyBinarySpec:
         v.flags.writeable = False
         object.__setattr__(self, "direction", v)
 
-    @property
-    def dim(self) -> int:
-        return self.direction.shape[0]
-
 
 @dataclass(frozen=True)
 class BinaryDataset:
@@ -104,10 +107,6 @@ class BinaryDataset:
     @property
     def num_records(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
 
 
 @dataclass(frozen=True)
@@ -188,18 +187,13 @@ def population_confidence_accuracy(
     return conf_plus, conf_minus, 0.5 * acc_plus + 0.5 * acc_minus
 
 
-def fit_constrained_logistic(
-    dataset: BinaryDataset,
-    radius: float,
-    tol: float = 1e-10,
-    max_iters: int = 5000,
-) -> LinearBinaryClassifier:
+def fit_constrained_logistic(dataset: BinaryDataset, radius: float) -> LinearBinaryClassifier:
     """Minimize empirical binary NLL over ||weight|| <= radius with a free intercept.
 
     Projected gradient descent from (0, 0); the projection radially rescales
     the weight onto the ball and never touches the intercept. The stopping
-    rule is relative (improvement below tol * |loss|) so the fit keeps
-    refining the intercept even when separable data drives the loss
+    rule is relative (improvement below `LOGISTIC_TOL` * |loss|) so the fit
+    keeps refining the intercept even when separable data drives the loss
     exponentially close to zero.
     """
     if radius <= 0:
@@ -234,9 +228,9 @@ def fit_constrained_logistic(
             gradient=gradient,
             project=project,
             x0=np.zeros(d + 1),
-            max_iters=max_iters,
+            max_iters=LOGISTIC_MAX_ITERS,
             improvement_tol=0.0,
-            relative_improvement_tol=tol,
+            relative_improvement_tol=LOGISTIC_TOL,
         )
     )
     return LinearBinaryClassifier(weight=result.x[:d], intercept=result.x[d])
@@ -309,14 +303,8 @@ def _evaluate_on_atoms(clf: LinearBinaryClassifier, spec: RareAtomSpec) -> tuple
     return float(conf.min()), 1.0 - error_mass
 
 
-def rare_atom_experiment(
-    n: int,
-    epsilon: float,
-    trials: int,
-    seed: int,
-    large_factor: int = 30,
-) -> list[RareAtomTrial]:
-    """Fit small (n) and large (large_factor * n) samples per trial and evaluate exactly.
+def rare_atom_experiment(n: int, epsilon: float, trials: int, seed: int) -> list[RareAtomTrial]:
+    """Fit small (n) and large (`LARGE_FACTOR` * n) samples per trial and evaluate exactly.
 
     Each trial t uses the derived seed `seed + t` and draws the small sample
     first, then the large one, from the same stream. Confidence and accuracy
@@ -328,7 +316,7 @@ def rare_atom_experiment(
     records = []
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
-        for scenario, count in (("s1", n), ("s2", large_factor * n)):
+        for scenario, count in (("s1", n), ("s2", LARGE_FACTOR * n)):
             idx = rng.choice(3, size=count, p=spec.atom_probs)
             data = BinaryDataset(x=spec.atoms[idx], y=spec.atom_labels[idx])
             clf = fit_constrained_logistic(data, spec.radius)

@@ -6,8 +6,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from calibkit import sweep
+from calibkit import cli, sweep
 from calibkit.cli import main
 from calibkit.calibrate import model_from_dict
 from calibkit.core import Identity, LogitDataset, predict, softmax
@@ -81,6 +84,25 @@ class TestLogitCsv:
             read_logit_csv(str(path))
         assert err.value.line == 3
 
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 20), st.integers(2, 6)),
+            elements=st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7e308, -1.7e308]),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_is_lossless_for_any_finite_float(self, tmp_path_factory, logits, data):
+        n, k = logits.shape
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.int64)
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_logit_csv(LogitDataset(logits, labels), str(path))
+        back = read_logit_csv(str(path))
+        assert back.logits.tobytes() == logits.tobytes()  # bitwise: keeps -0.0 and subnormals
+        np.testing.assert_array_equal(back.labels, labels)
+
     def test_header_only_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("logit_0,logit_1,label\n")
@@ -135,6 +157,33 @@ class TestCalibrateCommand:
         report = json.loads(out.read_text())
         for name in ("accuracy", "ece", "max_ece", "avg_ece", "nll"):
             assert report[f"{name}_before"] == report[f"{name}_after"]
+        assert report["changed_records"] == 0
+
+    def test_method_none_evaluates_the_test_set_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(63)
+        val, test = wellspec_files(tmp_path, rng, n=800)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return compute_report(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_report", counting)
+        for method, expected in (("none", 1), ("ts", 2)):
+            calls.clear()
+            out = tmp_path / f"{method}.json"
+            assert main(["calibrate", "--val", val, "--test", test, "--method", method,
+                         "--out-report", str(out)]) == 0
+            assert len(calls) == expected
+        report = json.loads((tmp_path / "none.json").read_text())
+        identity = compute_report(read_logit_csv(test))
+        for name in ("accuracy", "ece", "max_ece", "avg_ece", "nll"):
+            assert report[f"{name}_before"] == report[f"{name}_after"] == getattr(identity, name)
+        for row, stats in zip(report["per_class"], identity.per_class, strict=True):
+            assert row == {"class": stats.class_index, "count": stats.count, "ece_before": stats.ece,
+                           "ece_after": stats.ece, "mean_confidence": stats.mean_confidence,
+                           "accuracy": stats.accuracy}
+        assert report["warnings"] == identity.warnings
         assert report["changed_records"] == 0
 
     def test_vs_runs_and_reports_changes(self, tmp_path):

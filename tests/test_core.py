@@ -1,4 +1,6 @@
-"""Domain types, softmax, prediction, and class splitting."""
+"""Domain types, softmax, the NLL kernel, prediction, and class splitting."""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from calibkit.core import (
     Vector,
     predict,
     softmax,
+    softmax_nll,
     split_by_predicted,
 )
 from calibkit.errors import (
@@ -21,6 +24,8 @@ from calibkit.errors import (
     InvalidInputError,
     InvalidModelError,
 )
+from calibkit.optim import nll_grad_vector
+from calibkit.synthetic import HeteroLogitSpec, gen_hetero_logits
 
 # softmax([1, 2, 3]) evaluated at 50 decimal digits, rounded to float64.
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
@@ -64,6 +69,34 @@ class TestSoftmax:
         base = softmax(logits)
         shifted = softmax(np.asarray(logits) + shift)
         np.testing.assert_allclose(shifted, base, atol=1e-12)
+
+
+class TestSoftmaxNll:
+    def test_hand_computed_values(self):
+        # Both rows sum to exp(0) + exp(-ln 3) = 4/3. Label 1 is the -ln 3
+        # entry of row 0, NLL ln(4/3) + ln 3 = ln 4, and the 0 entry of row 1,
+        # NLL ln(4/3).
+        u = np.array([[0.0, -math.log(3.0)], [-math.log(3.0), 0.0]])
+        e, total, nll = softmax_nll(u, np.array([1, 1]))
+        np.testing.assert_allclose(e, [[1.0, 1 / 3], [1 / 3, 1.0]], rtol=1e-15)
+        np.testing.assert_allclose(total, [4 / 3, 4 / 3], rtol=1e-15)
+        np.testing.assert_allclose(nll, [math.log(4.0), math.log(4 / 3)], rtol=1e-15)
+
+    def test_exponentiates_in_place(self):
+        rng = np.random.default_rng(9)
+        z = rng.normal(size=(40, 5))
+        u = z - z.max(axis=1, keepdims=True)
+        e, _, _ = softmax_nll(u, rng.integers(0, 5, 40))
+        assert e is u
+        np.testing.assert_array_equal(u, np.exp(z - z.max(axis=1, keepdims=True)))
+
+    def test_vs_minimized_value_is_reported_nll_bit_for_bit(self):
+        k = 100
+        spec = HeteroLogitSpec(k, np.full(k, 20), np.linspace(0.4, 2.5, k), np.full(k, 0.1), margin=9.0, seed=16)
+        ds = gen_hetero_logits(spec).val
+        rng = np.random.default_rng(16)
+        scale, bias = rng.uniform(0.3, 3.0, k), rng.normal(size=k)
+        assert nll_grad_vector(ds, scale, bias)[0] == predict(ds, Vector(scale, bias)).mean_nll
 
 
 def predicted_label(logits, model=Identity()) -> int:
