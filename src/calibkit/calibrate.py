@@ -257,7 +257,9 @@ def model_from_dict(doc: dict) -> tuple[CalibrationModel, int]:
     """
     try:
         method = doc["method"]
-        num_classes = int(doc["num_classes"])
+        num_classes = doc["num_classes"]
+        if type(num_classes) is not int:
+            raise InvalidModelError(f"num_classes must be an integer, got {num_classes!r}")
         if method == "none":
             return Identity(), num_classes
         if method == "ts":
@@ -272,7 +274,7 @@ def model_from_dict(doc: dict) -> tuple[CalibrationModel, int]:
             model = Vector(np.asarray(doc["a"], dtype=np.float64), np.asarray(doc["b"], dtype=np.float64))
         else:
             raise InvalidModelError(f"unknown method {method!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidModelError(f"malformed model document: {type(exc).__name__}: {exc}") from exc
     if model.num_classes != num_classes:
         raise InvalidModelError(f"{method} parameters disagree with num_classes {num_classes}")

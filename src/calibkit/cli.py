@@ -20,14 +20,8 @@ import numpy as np
 from . import calibrate as cal
 from . import io as kio
 from .core import Identity, predict
-from .errors import (
-    CalibkitError,
-    ClassCountMismatchError,
-    ConfigError,
-    FileFormatError,
-    OptimizationError,
-)
-from .metrics import BinningConfig, bin_stats, compute_report, reliability_rows
+from .errors import CalibkitError, ClassCountMismatchError, ConfigError, OptimizationError
+from .metrics import DEFAULT_NUM_BINS, BinningConfig, bin_stats, compute_report, reliability_rows
 from .sweep import SWEEP_AXES, run_sweep
 from .synthetic import (
     HeteroLogitSpec,
@@ -38,13 +32,22 @@ from .synthetic import (
 )
 
 
-def _parse_gamma(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"gamma must be a number or 'inf', got {text!r}") from None
+def _at_least(kind, low, flag: str):
+    """An argparse type: `kind(text)` if that is >= `low`, else a ConfigError naming the text.
+
+    float() also reads 'inf' and 'infinity', in any case.
+    """
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise ConfigError(f"{flag} must be {kind.__name__} >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _parse_values(text: str) -> list[float]:
@@ -243,13 +246,8 @@ def cmd_synth(args) -> int:
         )
     elif args.kind == "theorem1":
         records = rare_atom_experiment(args.n, args.epsilon, args.trials, args.seed)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("trial,scenario,rare_present,balanced,min_confidence,accuracy\n")
-            for r in records:
-                fh.write(
-                    f"{r.trial},{r.scenario},{int(r.rare_present)},{int(r.balanced)},"
-                    f"{r.min_confidence:.9g},{r.accuracy:.9g}\n"
-                )
+        columns = ("trial", "scenario", "rare_present", "balanced", "min_confidence", "accuracy")
+        kio.write_table_csv([[getattr(r, c) for c in columns] for r in records], columns, args.out)
         sidecar.update(
             {"n": args.n, "epsilon": args.epsilon, "trials": args.trials, "files": [args.out]}
         )
@@ -287,28 +285,25 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         test_records=args.test_records,
     )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("axis_value,method,ece,max_ece,avg_ece,nll,accuracy\n")
-        for r in rows:
-            fh.write(
-                f"{r.axis_value:.9g},{r.method},{r.ece:.9g},{r.max_ece:.9g},"
-                f"{r.avg_ece:.9g},{r.nll:.9g},{r.accuracy:.9g}\n"
-            )
+    columns = ("axis_value", "method", "ece", "max_ece", "avg_ece", "nll", "accuracy")
+    kio.write_table_csv([[getattr(r, c) for c in columns] for r in rows], columns, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=_parse_gamma, default=math.inf,
-                   help="CTS radius; 'inf' decouples classes (default inf)")
-    p.add_argument("--bins", type=int, default=15, help="confidence bins (default 15)")
-    p.add_argument("--alpha-lo", type=float, default=0.01)
-    p.add_argument("--alpha-hi", type=float, default=100.0)
-    p.add_argument("--min-class-samples", type=int, default=10)
+    defaults = cal.FitConfig()
+    p.add_argument("--gamma", type=_at_least(float, 0, "--gamma"), default=defaults.gamma,
+                   help="CTS radius; 'inf' decouples classes (default %(default)s)")
+    p.add_argument("--bins", type=int, default=DEFAULT_NUM_BINS,
+                   help="confidence bins (default %(default)s)")
+    p.add_argument("--alpha-lo", type=float, default=defaults.alpha_lo)
+    p.add_argument("--alpha-hi", type=float, default=defaults.alpha_hi)
+    p.add_argument("--min-class-samples", type=int, default=defaults.min_class_samples)
 
 
 def _add_hetero_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--classes", type=int, default=10)
+    p.add_argument("--classes", type=_at_least(int, 2, "--classes"), default=10)
     p.add_argument("--sizes", default="1000", help="per-class records per split (1 or K values)")
     p.add_argument("--scales", default="1", help="per-class logit scales (1 or K values)")
     p.add_argument("--noise", default="0", help="per-class label-noise rates (1 or K values)")
@@ -334,19 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reliability", help="export reliability-diagram rows to CSV")
     p.add_argument("--file", required=True)
     p.add_argument("--model", help="optional fitted-model JSON to apply first")
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--bins", type=int, default=DEFAULT_NUM_BINS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reliability)
 
     p = sub.add_parser("synth", help="generate synthetic datasets or trial tables")
     p.add_argument("--kind", required=True, choices=["dnoisy", "theorem1", "hetero"])
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(int, 0, "--seed"), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=1000, help="records (dnoisy) or small-sample size (theorem1)")
     p.add_argument("--p-plus", type=float, default=0.0)
     p.add_argument("--p-minus", type=float, default=0.0)
     p.add_argument("--p-test", type=float, default=0.0)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_at_least(int, 1, "--dim"), default=2)
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--trials", type=int, default=200)
     _add_hetero_flags(p)
@@ -355,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="generate-fit-evaluate curves for TS and CTS")
     p.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p.add_argument("--values", required=True, help="comma-separated axis values ('inf' allowed)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(int, 0, "--seed"), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trials", type=int, default=30, help="trials per point (n_val axis)")
     p.add_argument("--test-records", type=int, default=50_000)
@@ -367,12 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # Inside the try: the `_at_least` flag types raise ConfigError.
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ClassCountMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,16 +1,18 @@
-"""Dataset, model, and report file I/O.
+"""Every file calibkit reads or writes: datasets, result tables, models and reports.
 
 Logit datasets are CSV with header ``logit_0,...,logit_{K-1},label``; binary
 feature datasets (two-atom synthetic output) are written, never read back,
-with header ``x_0,...,x_{d-1},label``.
-Floats are written with shortest round-trip precision, so write/read is
-lossless and byte-deterministic. Parse failures report 1-based line numbers.
+with header ``x_0,...,x_{d-1},label``. Their floats have shortest round-trip
+precision, so write/read is lossless and byte-deterministic. A parse failure
+names the 1-based number of the first bad line. Result tables (reliability
+rows, sweep curves, the Theorem 1 trials) carry floats at 9 significant digits.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -21,59 +23,60 @@ __all__ = [
     "read_logit_csv",
     "write_logit_csv",
     "write_binary_csv",
+    "write_table_csv",
     "write_reliability_csv",
     "read_json",
     "write_json",
 ]
 
 
-def _parse_matrix_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if not header:
-            raise FileFormatError("empty file, expected a header row", line=1)
-        columns = header.split(",")
-        width = len(columns) - 1
-        expected = [f"logit_{i}" for i in range(width)] + ["label"]
-        if width < 1 or columns != expected:
-            raise FileFormatError("bad header, expected logit_0,...,logit_{K-1},label", line=1)
-        values = []
-        labels = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != width + 1:
-                raise FileFormatError(
-                    f"expected {width + 1} columns, found {len(parts)}", line=lineno
-                )
-            try:
-                row = [float(p) for p in parts[:width]]
-                label = int(parts[width])
-            except ValueError as exc:
-                raise FileFormatError(str(exc), line=lineno) from None
-            if not all(math.isfinite(v) for v in row):
-                raise FileFormatError("non-finite value", line=lineno)
-            if label < 0:
-                raise FileFormatError(f"negative label {label}", line=lineno)
-            values.append(row)
-            labels.append(label)
-    data = np.asarray(values, dtype=np.float64).reshape(len(values), width)
-    return data, np.asarray(labels, dtype=np.int64)
-
-
 def read_logit_csv(path: str) -> LogitDataset:
-    """Load a logit dataset; labels must lie in [0, K) with K >= 2 columns."""
-    logits, labels = _parse_matrix_csv(path)
-    if logits.shape[1] < 2:
-        raise FileFormatError("logit files need at least 2 classes", line=1)
-    if labels.size and labels.max() >= logits.shape[1]:
-        bad = int(np.argmax(labels >= logits.shape[1]))
-        raise FileFormatError(
-            f"label {labels[bad]} out of range [0, {logits.shape[1]})", line=bad + 2
-        )
-    return LogitDataset(logits=logits, labels=labels)
+    """Load a logit dataset; labels must lie in [0, K) with K >= 2 columns.
+
+    The header fixes K, and each data line is checked once, as it is parsed.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = fh.readline().rstrip("\r\n")
+            if not header:
+                raise FileFormatError("empty file, expected a header row", line=1)
+            columns = header.split(",")
+            k = len(columns) - 1
+            if k < 1 or columns != [f"logit_{i}" for i in range(k)] + ["label"]:
+                raise FileFormatError("bad header, expected logit_0,...,logit_{K-1},label", line=1)
+            if k < 2:
+                raise FileFormatError("logit files need at least 2 classes", line=1)
+            values = []
+            labels = []
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != k + 1:
+                    raise FileFormatError(f"expected {k + 1} columns, found {len(parts)}", line=lineno)
+                try:
+                    row = [float(p) for p in parts[:k]]
+                    label = int(parts[k])
+                except ValueError as exc:
+                    raise FileFormatError(str(exc), line=lineno) from None
+                if not all(math.isfinite(v) for v in row):
+                    raise FileFormatError("non-finite value", line=lineno)
+                if label < 0:
+                    raise FileFormatError(f"negative label {label}", line=lineno)
+                if label >= k:
+                    raise FileFormatError(f"label {label} out of range [0, {k})", line=lineno)
+                values.append(row)
+                labels.append(label)
+    except UnicodeDecodeError as exc:
+        # Decoding runs in chunks, so the bad byte's line comes from a second
+        # read that escapes undecodable bytes as lone surrogates.
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            line = next((n for n, text in enumerate(fh, start=1) if re.search("[\udc80-\udcff]", text)), None)
+        raise FileFormatError(f"not UTF-8: {exc.reason}", line=line) from None
+    logits = np.asarray(values, dtype=np.float64).reshape(len(values), k)
+    del values  # frees the Python floats before LogitDataset copies the array
+    return LogitDataset(logits=logits, labels=np.asarray(labels, dtype=np.int64))
 
 
 def _write_matrix_csv(path: str, prefix: str, data: np.ndarray, labels: np.ndarray) -> None:
@@ -95,16 +98,25 @@ def write_binary_csv(dataset, path: str) -> None:
     _write_matrix_csv(path, "x_", dataset.x, dataset.y)
 
 
-def _fmt9(value: float | None) -> str:
-    return "" if value is None else f"{value:.9g}"
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(int(value) if isinstance(value, bool) else value)
+
+
+def write_table_csv(rows, header, path: str) -> None:
+    """Write a result table: floats at 9 significant digits, None blank, booleans 0/1, the rest as str()."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def write_reliability_csv(rows, path: str) -> None:
-    """Write reliability rows: floats at 9 significant digits, empty bins blank."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("bin_low,bin_high,count,mean_confidence,mean_accuracy\n")
-        for low, high, count, conf, acc in rows:
-            fh.write(f"{_fmt9(low)},{_fmt9(high)},{count},{_fmt9(conf)},{_fmt9(acc)}\n")
+    """Write `metrics.reliability_rows` output; empty bins leave their means blank."""
+    write_table_csv(rows, ("bin_low", "bin_high", "count", "mean_confidence", "mean_accuracy"), path)
 
 
 def read_json(path: str) -> dict:

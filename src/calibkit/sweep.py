@@ -16,7 +16,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +44,10 @@ class SweepRow:
     accuracy: float
     val_nll: float
     nll_gap: float
+
+
+# The SweepRow fields the n_val axis averages over trials.
+_METRICS = [f.name for f in fields(SweepRow) if f.name not in ("axis_value", "method")]
 
 
 def _worker_count(num_points: int) -> int:
@@ -164,22 +168,10 @@ def _nval_rows(
     # Every trial yields its rows in the same (size, method) order, so
     # zipping the trials groups each point's rows in trial order.
     per_trial = _map_points(trial_rows, list(range(trials)))
-    rows = []
-    for group in zip(*per_trial):
-        rows.append(
-            SweepRow(
-                axis_value=group[0].axis_value,
-                method=group[0].method,
-                ece=float(np.mean([r.ece for r in group])),
-                max_ece=float(np.mean([r.max_ece for r in group])),
-                avg_ece=float(np.mean([r.avg_ece for r in group])),
-                nll=float(np.mean([r.nll for r in group])),
-                accuracy=float(np.mean([r.accuracy for r in group])),
-                val_nll=float(np.mean([r.val_nll for r in group])),
-                nll_gap=float(np.mean([r.nll_gap for r in group])),
-            )
-        )
-    return rows
+    return [
+        replace(group[0], **{name: float(np.mean([getattr(r, name) for r in group])) for name in _METRICS})
+        for group in zip(*per_trial)
+    ]
 
 
 def run_sweep(

@@ -1,12 +1,14 @@
 """File formats, the command-line front end, and sweeps."""
 
+import contextlib
+import io
 import json
 import math
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,10 +17,36 @@ from calibkit.cli import main
 from calibkit.calibrate import model_from_dict
 from calibkit.core import Identity, LogitDataset, predict, softmax
 from calibkit.errors import ConfigError, FileFormatError
-from calibkit.io import read_logit_csv, write_logit_csv
+from calibkit.io import read_logit_csv, write_logit_csv, write_table_csv
 from calibkit.metrics import compute_report
 from calibkit.sweep import run_sweep
 from calibkit.synthetic import HeteroLogitSpec
+
+
+# Tokens that neither float() nor int() accepts, including the empty field.
+BAD_TOKENS = st.text(alphabet="bcdghjkmopqrsuvwxz?! \u00e9", max_size=6)
+# Any JSON value. Half the draws are edge cases: non-finite, beyond float64, huge.
+EDGE_VALUES = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, 10**400, -(10**400), 0, -1, 3, "inf"])
+JSON_VALUES = EDGE_VALUES | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+MODEL_FIELDS = ("method", "alpha", "alpha0", "alphas", "gamma", "a", "b", "num_classes")
+K4_MODELS = [
+    {"method": "none", "num_classes": 4},
+    {"method": "ts", "alpha": 1.5, "num_classes": 4},
+    {"method": "cts", "alpha0": 1.0, "alphas": [1.0, 1.2, 0.8, 1.0], "gamma": "inf", "num_classes": 4},
+    {"method": "vs", "a": [1.0, 1.0, 1.0, 1.0], "b": [0.0, 0.0, 0.0, 0.0], "num_classes": 4},
+]
+
+
+def run_main(argv) -> tuple[int, str]:
+    """main(argv) and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 def wellspec_files(tmp_path, rng, n=4000, k=4, scale=1.0):
@@ -84,6 +112,40 @@ class TestLogitCsv:
             read_logit_csv(str(path))
         assert err.value.line == 3
 
+    def test_huge_label_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("logit_0,logit_1,label\n1.0,2.0,0\n1.0,2.0,99999999999999999999\n")
+        with pytest.raises(FileFormatError, match="label 99999999999999999999 out of range") as err:
+            read_logit_csv(str(path))
+        assert err.value.line == 3
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        # The out-of-range label on line 3 comes before the bad float on line 5.
+        path = tmp_path / "bad.csv"
+        path.write_text("logit_0,logit_1,label\n1.0,2.0,0\n1.0,2.0,2\n1.0,2.0,1\n1.0,oops,0\n")
+        with pytest.raises(FileFormatError, match="out of range") as err:
+            read_logit_csv(str(path))
+        assert err.value.line == 3
+
+    def test_single_class_header_rejected_before_rows(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("logit_0,label\n1.0,oops\n")
+        with pytest.raises(FileFormatError, match="at least 2 classes") as err:
+            read_logit_csv(str(path))
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("records, bad", [(2, 1), (3000, 2000)])  # 2000: past the first 8 KB
+    def test_invalid_utf8_reports_line(self, tmp_path, newline, records, bad):
+        rows = [f"{i}.5,-{i}.25,{i % 2}" for i in range(records)]
+        rows[bad] = "1.0,@,0"
+        text = newline.join(["logit_0,logit_1,label"] + rows) + newline
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode().replace(b"@", b"\xff\xfe"))
+        with pytest.raises(FileFormatError, match="not UTF-8") as err:
+            read_logit_csv(str(path))
+        assert err.value.line == bad + 2
+
     @given(
         hnp.arrays(
             np.float64,
@@ -108,6 +170,14 @@ class TestLogitCsv:
         path.write_text("logit_0,logit_1,label\n")
         ds = read_logit_csv(str(path))
         assert ds.num_records == 0 and ds.num_classes == 2
+
+
+class TestTableCsv:
+    def test_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        row = (1 / 3, None, True, False, 7, "cts", np.float64(2.5e-10), 2.0)
+        write_table_csv([row], ("a", "b", "c", "d", "e", "f", "g", "h"), str(path))
+        assert path.read_text() == "a,b,c,d,e,f,g,h\n0.333333333,,1,0,7,cts,2.5e-10,2\n"
 
 
 class TestCalibrateCommand:
@@ -237,6 +307,47 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--val", val, "--test", str(test3), "--method", "ts",
                      "--out-report", str(tmp_path / "r.json")]) == 3
 
+    def test_bad_gamma_exits_2(self, tmp_path):
+        code, err = run_main(["calibrate", "--val", "v.csv", "--test", "t.csv", "--method", "cts",
+                              "--gamma", "abc", "--out-report", str(tmp_path / "r.json")])
+        assert code == 2 and "--gamma must be float >= 0, got 'abc'" in err
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_corrupt_line_exits_2_naming_it(self, tmp_path_factory, data):
+        k = 3
+        rows = [[repr(0.5 * i), repr(-0.25 * i), "1.0", str(i % k)] for i in range(6)]
+        index = data.draw(st.integers(0, len(rows) - 1), label="index")
+        kind = data.draw(st.sampled_from(["token", "columns", "nonfinite", "label", "utf8"]), label="kind")
+        row = list(rows[index])
+        if kind == "token":
+            row[data.draw(st.integers(0, k))] = data.draw(BAD_TOKENS)
+        elif kind == "columns":
+            row = (row + ["0"] * 4)[: data.draw(st.integers(1, k + 4).filter(lambda w: w != k + 1))]
+        elif kind == "nonfinite":
+            row[data.draw(st.integers(0, k - 1))] = data.draw(
+                st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+            )
+        elif kind == "label":
+            row[k] = str(data.draw(st.integers(max_value=-1) | st.integers(min_value=k)))
+        line = ",".join(row).encode()
+        if kind == "utf8":
+            at = data.draw(st.integers(0, len(line)))
+            line = line[:at] + bytes([data.draw(st.integers(0x80, 0xFF))]) + line[at:]
+        newline = data.draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+        header = b"logit_0,logit_1,logit_2,label"
+        lines = [header] + [",".join(r).encode() for r in rows]
+        bad = b"".join(x + newline for x in lines[: index + 1] + [line] + lines[index + 2 :])
+        good = b"".join(x + newline for x in lines)
+        folder = tmp_path_factory.mktemp("fuzz")
+        corrupt = data.draw(st.sampled_from(["val", "test"]))
+        for name in ("val", "test"):
+            (folder / f"{name}.csv").write_bytes(bad if name == corrupt else good)
+        code, err = run_main(["calibrate", "--val", str(folder / "val.csv"), "--test", str(folder / "test.csv"),
+                              "--method", "ts", "--out-report", str(folder / "r.json")])
+        assert code == 2
+        assert err.startswith(f"error: line {index + 2}: ")
+
     def test_parse_error_exits_2_with_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("logit_0,logit_1,label\n1.0,x,0\n")
@@ -315,6 +426,31 @@ class TestReliabilityCommand:
         err = self._bad_model_exits_2(tmp_path, capsys, '{"method": "ts",\n "alpha": }')
         assert "line 2" in err
 
+    @pytest.mark.parametrize("literal", ["Infinity", "1e400", "4.0", '"4"'])
+    def test_model_num_classes_not_an_integer_exits_2(self, tmp_path, capsys, literal):
+        err = self._bad_model_exits_2(tmp_path, capsys, '{"method": "none", "num_classes": %s}' % literal)
+        assert "num_classes must be an integer, got" in err
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_model_fields_exit_2_or_3(self, tmp_path_factory, data):
+        doc = dict(data.draw(st.sampled_from(K4_MODELS)))
+        doc.update(data.draw(st.dictionaries(st.sampled_from(MODEL_FIELDS), JSON_VALUES, min_size=1)))
+        for name in data.draw(st.sets(st.sampled_from(MODEL_FIELDS))):
+            doc.pop(name, None)
+        doc = data.draw(st.just(doc) | JSON_VALUES)
+        # The dataset has 3 classes, so only a document claiming 3 could apply.
+        assume(not (isinstance(doc, dict) and type(doc.get("num_classes")) is int and doc["num_classes"] == 3))
+        folder = tmp_path_factory.mktemp("model")
+        rng = np.random.default_rng(71)
+        write_logit_csv(LogitDataset(rng.normal(size=(20, 3)), rng.integers(0, 3, 20)), str(folder / "d.csv"))
+        (folder / "m.json").write_text(json.dumps(doc))
+        code, err = run_main(["reliability", "--file", str(folder / "d.csv"), "--model", str(folder / "m.json"),
+                              "--out", str(folder / "rel.csv")])
+        assert code in (2, 3)
+        assert err.startswith("error: ")
+        assert not (folder / "rel.csv").exists()
+
 
 class TestSynthCommand:
     def test_dnoisy_noiseless(self, tmp_path):
@@ -367,6 +503,36 @@ class TestSynthCommand:
                      "--classes", "2", "--out", str(out)]) == 2
         assert "noise rates" in capsys.readouterr().err
         assert not (tmp_path / "h.json").exists()
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["synth", "--kind", "hetero"],
+            ["synth", "--kind", "dnoisy"],
+            ["synth", "--kind", "theorem1"],
+            ["sweep", "--axis", "noise", "--values", "0"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, command):
+        code, err = run_main(command + ["--seed", "-1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2 and "--seed must be int >= 0, got '-1'" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (["synth", "--kind", "dnoisy"], "--dim", "0"),
+            (["synth", "--kind", "dnoisy"], "--dim", "-2"),
+            (["synth", "--kind", "hetero"], "--classes", "-3"),
+            (["sweep", "--axis", "noise", "--values", "0"], "--classes", "-3"),
+        ],
+    )
+    def test_out_of_range_size_exits_2(self, tmp_path, command, flag, value):
+        code, err = run_main(command + [flag, value, "--seed", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2 and f"{flag} must be int >= " in err and repr(value) in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestSweep:
