@@ -8,9 +8,11 @@ so every gamma runs the same scalar search once per predicted-class slice on
 [max(alpha0 - gamma, alpha_lo), alpha0 + gamma]: gamma = 0 collapses to TS
 and gamma = inf searches the full bounds. Vector scaling (VS) fits a
 per-class scale and bias by one L-BFGS solve from the TS solution and may
-change predictions; temperature variants never do. Each fit ends with one
-`predict` pass over the validation set, which gives the fitted model's
-validation NLL and accuracy; applying a model to data is `core.predict`.
+change predictions; temperature variants never do. Each fit hands its
+solver only the problem; constants in `optim` decide when a solve stops.
+Each fit ends with one `predict` pass over the validation set, which gives
+the fitted model's validation NLL and accuracy; applying a model to data is
+`core.predict`.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .core import softmax  # noqa: F401  (unused here; bench/tracer.py wraps it 
 from .errors import ConfigError, EmptyDatasetError, InvalidModelError
 from .metrics import nll  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 from .optim import (
+    SCALAR_TOL,
     ScalarProblem,
-    SmoothProblem,
     minimize_lbfgs,
     minimize_scalar,
     nll_grad_vector,
@@ -53,14 +55,6 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
 ]
-
-# Argument tolerance of every temperature search.
-SCALAR_TOL = 1e-6
-# Iteration cap and convergence threshold (loss improvement per accepted
-# step) of the VS L-BFGS solve.
-MAX_ITERS = 2000
-IMPROVEMENT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -123,7 +117,7 @@ def _scalar_fit(
         evals += 1
         return temperature_nll(val, alpha)
 
-    alpha, _ = minimize_scalar(ScalarProblem(objective, lo, hi, tol=SCALAR_TOL))
+    alpha, _ = minimize_scalar(ScalarProblem(objective, lo, hi))
     return alpha, evals
 
 
@@ -195,7 +189,7 @@ def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     The solve starts at the TS solution (scale alpha_TS * 1, bias 0). The
     NLL is jointly convex in (scale, bias) and every accepted step lowers
     it, so the fitted NLL is never worse than the TS solution's. It raises
-    OptimizationError if it does not converge within `MAX_ITERS`
+    OptimizationError if it does not converge within `optim.LBFGS_MAX_ITERS`
     iterations. Vector scaling can change predictions, so the result reports
     accuracy before and after.
     """
@@ -211,9 +205,7 @@ def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
         return loss, np.concatenate([ga, gb])
 
     x0 = np.concatenate([np.full(k, alpha_ts), np.zeros(k)])
-    result = minimize_lbfgs(
-        SmoothProblem(objective, x0, max_iters=MAX_ITERS, improvement_tol=IMPROVEMENT_TOL)
-    )
+    result = minimize_lbfgs(objective, x0)
     return _finish(Vector(result.x[:k], result.x[k:]), val, evals, [], [])
 
 

@@ -82,11 +82,11 @@ def _fmt(value: float, percent: bool) -> str:
     return f"{100 * value:.4f}%" if percent else f"{value:.6f}"
 
 
-def _fit_config(args, gamma: float | None = None) -> cal.FitConfig:
+def _fit_config(args) -> cal.FitConfig:
     return cal.FitConfig(
         alpha_lo=args.alpha_lo,
         alpha_hi=args.alpha_hi,
-        gamma=args.gamma if gamma is None else gamma,
+        gamma=args.gamma,
         min_class_samples=args.min_class_samples,
     )
 

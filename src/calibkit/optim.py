@@ -8,7 +8,12 @@ from `core.softmax_nll`, the kernel `predict` uses, so the value a fit
 minimizes is the NLL a report gives. The losses run over every record of
 the dataset they are given: a per-class fit slices its records once, into a
 dataset of their own, and never gathers them again per evaluation.
-Everything here is deterministic.
+Each solver owns its stopping rule as a constant of this module
+(`SCALAR_TOL`; `LBFGS_MAX_ITERS` and `LBFGS_IMPROVEMENT_TOL`), so its
+callers pass only the problem. Projected gradient descent still takes its
+iteration cap and tolerances from `GradientProblem`, which
+`synthetic.fit_constrained_logistic` sets to values of its own. Everything
+here is deterministic.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .errors import ConfigError, OptimizationError
 __all__ = [
     "ScalarProblem",
     "GradientProblem",
-    "SmoothProblem",
     "GDResult",
     "minimize_scalar",
     "minimize_lbfgs",
@@ -36,23 +40,33 @@ __all__ = [
     "nll_grad_vector",
 ]
 
-_MAX_STEP = 1e30
-# Bisection alone shrinks [0.01, 100] below 1e-6 in 27 steps, and a Newton
-# step is only taken while it halves the step before last, so a convex
-# objective stays far below this bound.
+# Scalar search: it stops once a Newton step or the bracket is shorter than
+# SCALAR_TOL. Bisection alone shrinks [0.01, 100] below 1e-6 in 27 steps,
+# and a Newton step is only taken while it halves the step before last, so
+# a convex objective stays far below _MAX_SCALAR_ITERS.
+SCALAR_TOL = 1e-6
 _MAX_SCALAR_ITERS = 100
-# Correction pairs kept by L-BFGS; 3 to 20 is the usual range (Nocedal &
+# L-BFGS: it returns once an accepted step improves the loss by less than
+# LBFGS_IMPROVEMENT_TOL and raises past LBFGS_MAX_ITERS iterations. It keeps
+# _LBFGS_HISTORY correction pairs; 3 to 20 is the usual range (Nocedal &
 # Wright, ch. 7), and 10 is ample for the 2K vector-scaling parameters.
+LBFGS_MAX_ITERS = 2000
+LBFGS_IMPROVEMENT_TOL = 1e-10
 _LBFGS_HISTORY = 10
 # Halvings of the unit step before a line search gives up: 2**-50 of the
 # step is below the rounding of any iterate it could move.
 _MAX_HALVINGS = 50
 _ARMIJO_C1 = 1e-4
+# Projected gradient descent: first step, halvings of a step before the
+# solver declares a stall, and the cap on step growth.
+_GD_STEP = 0.1
+_GD_MAX_HALVINGS = 40
+_MAX_STEP = 1e30
 
 
 @dataclass
 class ScalarProblem:
-    """A convex 1-D objective on [lo, hi], minimized to `tol` on the argument.
+    """A convex 1-D objective on [lo, hi], minimized to `SCALAR_TOL` on the argument.
 
     `objective(x)` returns (f(x), f'(x), f''(x)). The search starts at `x0`,
     clipped into [lo, hi].
@@ -61,7 +75,6 @@ class ScalarProblem:
     objective: Callable[[float], tuple[float, float, float]]
     lo: float
     hi: float
-    tol: float = 1e-6
     x0: float = 1.0
 
 
@@ -74,15 +87,13 @@ def minimize_scalar(problem: ScalarProblem) -> tuple[float, float]:
     bracket, and Newton steps x - f'/f'' are taken while they land inside it
     and are at most half the step before last; any other step bisects the
     bracket (Nocedal & Wright, *Numerical Optimization*, ch. 3). The search
-    stops once a step or the bracket is below `tol`, and raises
+    stops once a step or the bracket is below `SCALAR_TOL`, and raises
     OptimizationError on a non-finite evaluation or if it runs past a fixed
     iteration bound.
     """
     lo, hi = float(problem.lo), float(problem.hi)
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
         raise ConfigError(f"invalid bounds [{lo}, {hi}]")
-    if problem.tol <= 0:
-        raise ConfigError("tolerance must be positive")
 
     def f(x: float) -> tuple[float, float, float]:
         val, d1, d2 = (float(v) for v in problem.objective(x))
@@ -102,10 +113,10 @@ def minimize_scalar(problem: ScalarProblem) -> tuple[float, float]:
     a, b = (x, hi) if g < 0 else (lo, x)
     step = step_before = b - a
     for _ in range(_MAX_SCALAR_ITERS):
-        if b - a < problem.tol:
+        if b - a < SCALAR_TOL:
             return x, fx
         d = g / h if h > 0 else np.inf
-        if abs(d) < problem.tol:
+        if abs(d) < SCALAR_TOL:
             return x, fx
         if a < x - d < b and abs(d) <= 0.5 * abs(step_before):
             step_before, step = step, d
@@ -131,10 +142,11 @@ class GradientProblem:
 
     The projection must be idempotent and the initial point feasible. A step
     is accepted only if it strictly decreases the loss; on increase the step
-    size halves (up to `max_halvings` times) before the solver declares a
-    stall. A step accepted without any halving doubles the step size, which
-    is what lets the solver traverse exponentially flattening landscapes
-    (e.g. separable logistic losses) in a bounded number of iterations.
+    size halves (from `_GD_STEP`, up to `_GD_MAX_HALVINGS` times) before the
+    solver declares a stall. A step accepted without any halving doubles the
+    step size, which is what lets the solver traverse exponentially
+    flattening landscapes (e.g. separable logistic losses) in a bounded
+    number of iterations.
 
     Convergence: accepted improvement below
     `improvement_tol + relative_improvement_tol * |loss|`.
@@ -144,11 +156,9 @@ class GradientProblem:
     gradient: Callable[[np.ndarray], np.ndarray]
     project: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
-    step_size: float = 0.1
     max_iters: int = 2000
     improvement_tol: float = 1e-10
     relative_improvement_tol: float = 0.0
-    max_halvings: int = 40
 
 
 @dataclass
@@ -169,13 +179,13 @@ def projected_gd(problem: GradientProblem) -> GDResult:
     loss = float(problem.objective(x))
     if np.isnan(loss):
         raise OptimizationError("initial loss is NaN", iterations=0)
-    eta = float(problem.step_size)
+    eta = _GD_STEP
 
     for iteration in range(1, problem.max_iters + 1):
         grad = np.asarray(problem.gradient(x), dtype=np.float64)
         accepted = False
         trial = eta
-        for halving in range(problem.max_halvings + 1):
+        for halving in range(_GD_MAX_HALVINGS + 1):
             cand = problem.project(x - trial * grad)
             cand_loss = float(problem.objective(cand))
             if np.isnan(cand_loss):
@@ -192,21 +202,6 @@ def projected_gd(problem: GradientProblem) -> GDResult:
         if improvement < problem.improvement_tol + problem.relative_improvement_tol * abs(loss):
             return GDResult(x=x, loss=loss, iterations=iteration)
     return GDResult(x=x, loss=loss, iterations=problem.max_iters)
-
-
-@dataclass
-class SmoothProblem:
-    """A smooth unconstrained objective for `minimize_lbfgs`.
-
-    `objective(x)` returns (f(x), grad f(x)) from one evaluation. The solver
-    stops once an accepted step improves f by less than `improvement_tol`,
-    and raises OptimizationError past `max_iters` iterations.
-    """
-
-    objective: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    x0: np.ndarray
-    max_iters: int = 2000
-    improvement_tol: float = 1e-10
 
 
 def _backtrack(
@@ -231,33 +226,36 @@ def _backtrack(
     return None
 
 
-def minimize_lbfgs(problem: SmoothProblem) -> GDResult:
+def minimize_lbfgs(
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray
+) -> GDResult:
     """Limited-memory BFGS with Armijo backtracking from a unit step.
 
-    The direction comes from the two-loop recursion over the last
-    `_LBFGS_HISTORY` (step, gradient change) pairs (Nocedal & Wright,
-    *Numerical Optimization*, Alg. 7.4-7.5); a pair is kept only when its
-    curvature s.y is positive. If that direction is not a descent direction
+    `objective(x)` returns (f(x), grad f(x)) from one evaluation, and the
+    search starts at `x0`. The direction comes from the two-loop recursion
+    over the last `_LBFGS_HISTORY` (step, gradient change) pairs (Nocedal &
+    Wright, *Numerical Optimization*, Alg. 7.4-7.5); a pair is kept only
+    when its curvature s.y is positive. If that direction is not a descent direction
     the history is dropped and the step follows the negative gradient.
     Every accepted step strictly decreases the loss. The solver returns when
     the gradient is zero, when an accepted step improves the loss by less
-    than `improvement_tol`, or when no halving of the step lowers the loss
-    (the iterate is optimal to rounding). A non-finite loss or gradient, or
-    running past `max_iters`, raises OptimizationError.
+    than `LBFGS_IMPROVEMENT_TOL`, or when no halving of the step lowers the
+    loss (the iterate is optimal to rounding). A non-finite loss or
+    gradient, or running past `LBFGS_MAX_ITERS`, raises OptimizationError.
     """
     iteration = 0
 
     def evaluate(point: np.ndarray) -> tuple[float, np.ndarray]:
-        val, grad = problem.objective(point)
+        val, grad = objective(point)
         val, grad = float(val), np.asarray(grad, dtype=np.float64)
         if not (np.isfinite(val) and np.all(np.isfinite(grad))):
             raise OptimizationError(f"objective is not finite at iteration {iteration}", iterations=iteration)
         return val, grad
 
-    x = np.array(problem.x0, dtype=np.float64)
+    x = np.array(x0, dtype=np.float64)
     loss, grad = evaluate(x)
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_LBFGS_HISTORY)
-    for iteration in range(1, problem.max_iters + 1):
+    for iteration in range(1, LBFGS_MAX_ITERS + 1):
         d = -grad
         coefs = []
         for s, y, rho in reversed(pairs):
@@ -284,11 +282,11 @@ def minimize_lbfgs(problem: SmoothProblem) -> GDResult:
             pairs.append((s, y, 1.0 / sy))
         improvement = loss - cand_loss
         x, loss, grad = cand, cand_loss, cand_grad
-        if improvement < problem.improvement_tol:
+        if improvement < LBFGS_IMPROVEMENT_TOL:
             return GDResult(x=x, loss=loss, iterations=iteration)
     raise OptimizationError(
-        f"L-BFGS did not converge in {problem.max_iters} iterations (loss {loss})",
-        iterations=problem.max_iters,
+        f"L-BFGS did not converge in {LBFGS_MAX_ITERS} iterations (loss {loss})",
+        iterations=LBFGS_MAX_ITERS,
     )
 
 

@@ -134,9 +134,11 @@ def _nval_rows(
     size-to-size comparison of the NLL gap; the test split is a single large
     independent draw per trial.
     """
+    k = base.num_classes
     if trials < 1:
         raise ConfigError(f"the n_val axis needs at least 1 trial, got {trials}")
-    k = base.num_classes
+    if test_records < k:
+        raise ConfigError(f"the n_val axis needs test_records >= num_classes {k}, got {test_records}")
     bad = [v for v in values if float(v) % k != 0]
     if bad:
         raise ConfigError(f"validation sizes must be multiples of num_classes {k}, got {bad}")
@@ -144,7 +146,7 @@ def _nval_rows(
     if sizes[0] < k:
         raise ConfigError(f"validation sizes must be >= num_classes, got {sizes[0]}")
     pool_per_class = math.ceil(sizes[-1] / k)
-    test_per_class = max(1, test_records // k)
+    test_per_class = test_records // k
 
     def trial_rows(t: int) -> list[SweepRow]:
         pool_spec = replace(
@@ -189,7 +191,8 @@ def run_sweep(
     size: sampling fraction of the first half of the classes.
     gamma: CTS radius on a fixed dataset (TS rows are gamma-independent).
     n_val: validation-set size, a multiple of K, averaged over `trials`
-    (at least 1) seeded trials.
+    (at least 1) seeded trials, each scored on `test_records` (at least K)
+    test records.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")

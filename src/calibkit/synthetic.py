@@ -312,6 +312,8 @@ def rare_atom_experiment(n: int, epsilon: float, trials: int, seed: int) -> list
     flag records whether at least a third of the sample sat on each of the
     +/- v atoms.
     """
+    if trials < 1:
+        raise ConfigError(f"need at least 1 trial, got {trials}")
     spec = RareAtomSpec(n=n, epsilon=epsilon)
     records = []
     for t in range(trials):
@@ -378,12 +380,13 @@ class HeteroLogitSpec:
                 raise ConfigError(f"{name} must have length {k}")
         if np.any(sizes < 0) or sizes.sum() <= 0:
             raise ConfigError("class sizes must be nonnegative with a positive total")
-        if not np.all(scales > 0):
-            raise ConfigError("scales must be positive")
+        valid = np.isfinite(scales) & (scales > 0)
+        if not np.all(valid):
+            raise ConfigError(f"scales must be positive and finite, got {float(scales[~valid][0])!r}")
         if not np.all((rates >= 0) & (rates < 1)):
             raise ConfigError("noise rates must lie in [0, 1)")
-        if not (self.margin > 0):
-            raise ConfigError(f"margin must be positive, got {self.margin}")
+        if not (0 < self.margin < math.inf):
+            raise ConfigError(f"margin must be positive and finite, got {self.margin}")
         for name, arr in (("class_sizes", sizes), ("scales", scales), ("noise_rates", rates)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from calibkit import calibrate
+from calibkit import optim
 from calibkit.calibrate import (
     FitConfig,
     fit_cts,
@@ -69,8 +69,9 @@ def gd_restarts_nll(val, cfg=FitConfig()):
     """Reference VS fit: the better of two projected gradient descent runs.
 
     One run starts at the identity and one at the TS solution, with step
-    0.1 and at most `calibrate.MAX_ITERS` iterations each. Returns the validation
-    NLL of the better run's model.
+    0.1, at most 2000 iterations each and an improvement threshold of 1e-10:
+    the settings of the VS fit this replaced. Returns the validation NLL of
+    the better run's model.
     """
     k = val.num_classes
     cache = {}
@@ -91,8 +92,8 @@ def gd_restarts_nll(val, cfg=FitConfig()):
                 gradient=lambda x: np.concatenate(triple(x)[1:]),
                 project=lambda x: x,
                 x0=x0,
-                max_iters=calibrate.MAX_ITERS,
-                improvement_tol=calibrate.IMPROVEMENT_TOL,
+                max_iters=2000,
+                improvement_tol=1e-10,
             )
         )
         if best is None or run.loss < best.loss:
@@ -323,7 +324,7 @@ class TestFitVS:
     def test_iteration_cap_raises(self, monkeypatch):
         rng = np.random.default_rng(53)
         val = hetero_dataset(rng, 5000)
-        monkeypatch.setattr(calibrate, "MAX_ITERS", 2)
+        monkeypatch.setattr(optim, "LBFGS_MAX_ITERS", 2)
         with pytest.raises(OptimizationError):
             fit_vs(val)
 

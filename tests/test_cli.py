@@ -504,6 +504,24 @@ class TestSynthCommand:
         assert "noise rates" in capsys.readouterr().err
         assert not (tmp_path / "h.json").exists()
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_theorem1_needs_a_trial(self, tmp_path, trials):
+        code, err = run_main(["synth", "--kind", "theorem1", "--n", "10", "--trials", trials,
+                              "--seed", "1", "--out", str(tmp_path / "t.csv")])
+        assert code == 2 and f"got {trials}" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag, value, shown",
+        [("--margin", "inf", "margin"), ("--scales", "inf", "scales"), ("--scales", "1,inf", "scales")],
+    )
+    def test_infinite_margin_or_scale_exits_2(self, tmp_path, flag, value, shown):
+        code, err = run_main(["synth", "--kind", "hetero", flag, value, "--seed", "13",
+                              "--classes", "2", "--out", str(tmp_path / "h.csv")])
+        assert code == 2 and shown in err and "got inf" in err
+        assert "RuntimeWarning" not in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestIntegerFlags:
     @pytest.mark.parametrize(
@@ -644,6 +662,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "class sizes" in err and f"got {shown}" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("test_records", [-5, 0, 3])
+    def test_nval_axis_needs_a_test_record_per_class(self, tmp_path, test_records):
+        with pytest.raises(ConfigError, match=f"got {test_records}"):
+            run_sweep("n_val", [100, 200], self.base_spec(), trials=1, test_records=test_records)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--axis", "n_val", "--values", "100,200", "--seed", "13",
+                     "--classes", "4", "--trials", "1", "--test-records", str(test_records),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("trials", [0, -2])
     def test_nval_axis_needs_a_trial(self, tmp_path, trials):

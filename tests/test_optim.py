@@ -9,7 +9,6 @@ from calibkit import optim
 from calibkit.optim import (
     GradientProblem,
     ScalarProblem,
-    SmoothProblem,
     minimize_lbfgs,
     minimize_scalar,
     nll_grad_vector,
@@ -61,17 +60,14 @@ class TestMinimizeScalar:
 
     def test_start_point_insensitive(self):
         rng = np.random.default_rng(11)
-        tol = 1e-6
         for scale in (0.5, 2.0, 5.0):
             ds = random_dataset(rng, n=300)
             ds = LogitDataset(scale * ds.logits, ds.labels)
             xs = [
-                minimize_scalar(
-                    ScalarProblem(lambda a: temperature_nll(ds, a), 0.01, 100.0, tol=tol, x0=x0)
-                )[0]
+                minimize_scalar(ScalarProblem(lambda a: temperature_nll(ds, a), 0.01, 100.0, x0=x0))[0]
                 for x0 in (0.01, 0.3, 1.0, 7.0, 100.0)
             ]
-            assert max(xs) - min(xs) <= 10 * tol
+            assert max(xs) - min(xs) <= 10 * optim.SCALAR_TOL
 
     def test_lower_bound_when_increasing(self):
         for x0 in (0.0, 1.0, 5.0):
@@ -220,8 +216,9 @@ class TestVectorGradient:
 
 
 class TestLBFGS:
-    def test_ill_conditioned_quadratic_exact_minimizer(self):
+    def test_ill_conditioned_quadratic_exact_minimizer(self, monkeypatch):
         # Condition number 1e4, with the eigenbasis rotated away from the axes.
+        monkeypatch.setattr(optim, "LBFGS_IMPROVEMENT_TOL", 0.0)
         rng = np.random.default_rng(21)
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         h = q @ np.diag(np.logspace(0, 4, 6)) @ q.T
@@ -231,7 +228,7 @@ class TestLBFGS:
             r = x - c
             return 0.5 * float(r @ h @ r), h @ r
 
-        result = minimize_lbfgs(SmoothProblem(objective, np.zeros(6), improvement_tol=0.0))
+        result = minimize_lbfgs(objective, np.zeros(6))
         np.testing.assert_allclose(result.x, c, rtol=0, atol=1e-8)
         assert result.loss <= 1e-16
 
@@ -255,26 +252,25 @@ class TestLBFGS:
             loss, ga, gb = nll_grad_vector(ds, x[:4], x[4:])
             return loss, np.concatenate([ga, gb])
 
-        result = minimize_lbfgs(SmoothProblem(objective, np.r_[np.ones(4), np.zeros(4)]))
+        result = minimize_lbfgs(objective, np.r_[np.ones(4), np.zeros(4)])
         accepted = [after for _, after in searches if after is not None]
         assert len(accepted) > 3
         assert all(after < before for before, after in searches if after is not None)
         assert [before for before, _ in searches[1:]] == accepted[: len(searches) - 1]
         assert result.loss == accepted[-1]
 
-    def test_unbounded_below_raises_at_cap(self):
+    def test_unbounded_below_raises_at_cap(self, monkeypatch):
+        monkeypatch.setattr(optim, "LBFGS_MAX_ITERS", 5)
         with pytest.raises(OptimizationError) as info:
-            minimize_lbfgs(SmoothProblem(lambda x: (-float(x.sum()), -np.ones_like(x)), np.zeros(3), max_iters=5))
+            minimize_lbfgs(lambda x: (-float(x.sum()), -np.ones_like(x)), np.zeros(3))
         assert info.value.iterations == 5
 
     def test_non_finite_loss_raises(self):
         with pytest.raises(OptimizationError):
-            minimize_lbfgs(SmoothProblem(lambda x: (float("nan"), x), np.ones(2)))
+            minimize_lbfgs(lambda x: (float("nan"), x), np.ones(2))
         # A finite start whose first trial step overflows.
         with pytest.raises(OptimizationError), np.errstate(over="ignore"):
-            minimize_lbfgs(
-                SmoothProblem(lambda x: (float(np.exp(x @ x)), 2 * x * np.exp(x @ x)), np.full(2, 2.0))
-            )
+            minimize_lbfgs(lambda x: (float(np.exp(x @ x)), 2 * x * np.exp(x @ x)), np.full(2, 2.0))
 
     def test_zero_gradient_start_returns_at_once(self):
         calls = []
@@ -283,7 +279,7 @@ class TestLBFGS:
             calls.append(x)
             return float(x @ x), 2 * x
 
-        result = minimize_lbfgs(SmoothProblem(objective, np.zeros(3)))
+        result = minimize_lbfgs(objective, np.zeros(3))
         assert result.loss == 0.0 and len(calls) == 1
 
 

@@ -6,9 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calibkit.calibrate import SCALAR_TOL, FitConfig, fit_cts, fit_ts, fit_vs
+from calibkit.calibrate import FitConfig, fit_cts, fit_ts, fit_vs
 from calibkit.core import LogitDataset, softmax
-from calibkit.optim import temperature_nll
+from calibkit.optim import SCALAR_TOL, temperature_nll
 
 CFG = FitConfig()
 TOL = SCALAR_TOL

@@ -218,6 +218,9 @@ class TestRareAtomExperiment:
             RareAtomSpec(n=5, epsilon=0.01)
         with pytest.raises(ConfigError):
             RareAtomSpec(n=50, epsilon=0.7)
+        for trials in (0, -1):
+            with pytest.raises(ConfigError, match=f"got {trials}"):
+                rare_atom_experiment(50, 0.01, trials=trials, seed=1)
 
 
 def hetero_spec(**overrides):
@@ -321,3 +324,10 @@ class TestGenHeteroLogits:
         assert hetero_spec(class_sizes=np.full(10, 20.0)).class_sizes.dtype == np.int64
         with pytest.raises(ConfigError):
             hetero_spec(margin=0.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ConfigError, match="margin must be positive and finite"):
+                hetero_spec(margin=bad)
+            scales = np.ones(10)
+            scales[3] = bad
+            with pytest.raises(ConfigError, match=f"scales must be positive and finite, got {bad!r}"):
+                hetero_spec(scales=scales)
