@@ -75,6 +75,8 @@ class FitConfig:
             raise ConfigError(f"need 0 < alpha_lo <= alpha_hi, got [{self.alpha_lo}, {self.alpha_hi}]")
         if math.isnan(self.gamma) or self.gamma < 0:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+        if self.min_class_samples < 0:
+            raise ConfigError(f"min_class_samples must be >= 0, got {self.min_class_samples}")
 
 
 @dataclass(frozen=True)

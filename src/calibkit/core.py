@@ -71,8 +71,9 @@ def softmax_nll(u: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class LogitDataset:
     """N records of (K raw logits, true label in [0, K)).
 
-    Immutable after construction; the backing arrays are marked read-only.
-    K = 1 is rejected: calibration is undefined with a single class.
+    Immutable after construction: the constructor copies the arrays it is
+    given and marks the copies read-only. K = 1 is rejected: calibration is
+    undefined with a single class.
     """
 
     logits: np.ndarray
@@ -91,8 +92,20 @@ class LogitDataset:
             raise InvalidInputError("logits contain NaN or Inf")
         if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
             raise InvalidInputError("labels must lie in [0, num_classes)")
-        logits = logits.copy()
-        labels = labels.copy()
+        self._hold(logits.copy(), labels.copy())
+
+    @classmethod
+    def _adopt(cls, logits: np.ndarray, labels: np.ndarray) -> "LogitDataset":
+        """A dataset over fresh arrays whose records already passed the checks.
+
+        No copy and no re-check: for calibkit's own reader and `subset`, which
+        build the arrays for the dataset and keep no other reference to them.
+        """
+        dataset = object.__new__(cls)
+        dataset._hold(logits, labels)
+        return dataset
+
+    def _hold(self, logits: np.ndarray, labels: np.ndarray) -> None:
         logits.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "logits", logits)
@@ -109,7 +122,10 @@ class LogitDataset:
     def subset(self, indices: np.ndarray) -> "LogitDataset":
         """Dataset restricted to the given record indices (order preserved)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return LogitDataset(self.logits[idx], self.labels[idx])
+        if idx.ndim != 1:
+            raise InvalidInputError("subset indices must be 1-D")
+        # The gathers are new arrays of records that passed the checks.
+        return LogitDataset._adopt(self.logits[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)

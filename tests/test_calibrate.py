@@ -24,7 +24,7 @@ from calibkit.core import (
     softmax,
     split_by_predicted,
 )
-from calibkit.errors import EmptyDatasetError, InvalidModelError, OptimizationError
+from calibkit.errors import ConfigError, EmptyDatasetError, InvalidModelError, OptimizationError
 from calibkit.metrics import compute_report, nll
 from calibkit.optim import GradientProblem, nll_grad_vector, projected_gd, temperature_nll
 from calibkit.synthetic import HeteroLogitSpec, gen_hetero_logits
@@ -132,6 +132,13 @@ class TestApply:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(InvalidModelError):
             Temperature(-0.5)
+
+
+class TestFitConfig:
+    def test_negative_min_class_samples_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"min_class_samples must be >= 0, got -4"):
+            FitConfig(min_class_samples=-4)
+        assert FitConfig(min_class_samples=0).min_class_samples == 0
 
 
 class TestFitTS:

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import re
 import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from calibkit import cli, sweep
+from calibkit import io as kio
 from calibkit.cli import main
 from calibkit.calibrate import model_from_dict
 from calibkit.core import Identity, LogitDataset, predict, softmax
@@ -39,6 +43,69 @@ K4_MODELS = [
     {"method": "cts", "alpha0": 1.0, "alphas": [1.0, 1.2, 0.8, 1.0], "gamma": "inf", "num_classes": 4},
     {"method": "vs", "a": [1.0, 1.0, 1.0, 1.0], "b": [0.0, 0.0, 0.0, 0.0], "num_classes": 4},
 ]
+
+
+# Logit tokens float() reads ("1_0", "+3", Arabic-Indic three, " 1.5") and
+# tokens the reader rejects: "\x1c" is a separator float() does not strip,
+# then non-finite values, the empty field and a letter.
+LOGIT_TOKENS = st.sampled_from([" 1.5", "1_0", "+3", "\u0663", "-0.0", "5e-324", "1.5 "]) | st.floats(
+    allow_nan=False, allow_infinity=False
+).map(repr)
+BAD_LOGIT_TOKENS = st.sampled_from(["1.5\x1c", "nan", "-inf", "1e999", "", "x"])
+LABEL_TOKENS = st.sampled_from(["0", "1", "+1", " 1", "0_1", "\u0661"])
+BAD_LABEL_TOKENS = st.sampled_from(["3.0", "-1", "9", "99999999999999999999", "", "1.5\x1c", "\u0663"])
+
+
+def reference_read_logit_csv(path: str) -> LogitDataset:
+    """The one-pass line-by-line reader that `read_logit_csv` replaced, as it was."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = fh.readline().rstrip("\r\n")
+            if not header:
+                raise FileFormatError("empty file, expected a header row", line=1)
+            columns = header.split(",")
+            k = len(columns) - 1
+            if k < 1 or columns != [f"logit_{i}" for i in range(k)] + ["label"]:
+                raise FileFormatError("bad header, expected logit_0,...,logit_{K-1},label", line=1)
+            if k < 2:
+                raise FileFormatError("logit files need at least 2 classes", line=1)
+            values = []
+            labels = []
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != k + 1:
+                    raise FileFormatError(f"expected {k + 1} columns, found {len(parts)}", line=lineno)
+                try:
+                    row = [float(p) for p in parts[:k]]
+                    label = int(parts[k])
+                except ValueError as exc:
+                    raise FileFormatError(str(exc), line=lineno) from None
+                if not all(math.isfinite(v) for v in row):
+                    raise FileFormatError("non-finite value", line=lineno)
+                if label < 0:
+                    raise FileFormatError(f"negative label {label}", line=lineno)
+                if label >= k:
+                    raise FileFormatError(f"label {label} out of range [0, {k})", line=lineno)
+                values.append(row)
+                labels.append(label)
+    except UnicodeDecodeError as exc:
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            line = next((n for n, text in enumerate(fh, start=1) if re.search("[\udc80-\udcff]", text)), None)
+        raise FileFormatError(f"not UTF-8: {exc.reason}", line=line) from None
+    logits = np.asarray(values, dtype=np.float64).reshape(len(values), k)
+    return LogitDataset(logits=logits, labels=np.asarray(labels, dtype=np.int64))
+
+
+def read_outcome(read, path):
+    """(logits bytes, shape, labels) of an accepted file, or the text of its FileFormatError."""
+    try:
+        ds = read(path)
+    except FileFormatError as exc:
+        return str(exc)
+    return ds.logits.tobytes(), ds.logits.shape, ds.labels.tolist()
 
 
 def run_main(argv) -> tuple[int, str]:
@@ -164,6 +231,119 @@ class TestLogitCsv:
         back = read_logit_csv(str(path))
         assert back.logits.tobytes() == logits.tobytes()  # bitwise: keeps -0.0 and subnormals
         np.testing.assert_array_equal(back.labels, labels)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_block_parse_matches_the_line_reader(self, tmp_path_factory, data):
+        k = data.draw(st.integers(2, 4), label="k")
+        record = st.tuples(*[LOGIT_TOKENS] * k, LABEL_TOKENS).map(",".join)
+        lines = data.draw(st.lists(record, max_size=40), label="records")
+        for _ in range(data.draw(st.integers(0, 6), label="blank lines")):
+            lines.insert(data.draw(st.integers(0, len(lines))), "")
+        bad_lines = 0 if data.draw(st.booleans(), label="clean") else data.draw(st.integers(1, 3))
+        for _ in range(bad_lines):
+            row = data.draw(record).split(",")
+            kind = data.draw(st.sampled_from(["logit", "label", "columns", "spaces"]))
+            if kind == "logit":
+                row[data.draw(st.integers(0, k - 1))] = data.draw(BAD_LOGIT_TOKENS)
+            elif kind == "label":
+                row[k] = data.draw(BAD_LABEL_TOKENS)
+            elif kind == "columns":
+                row = (row + ["0"] * 3)[: data.draw(st.integers(1, k + 3).filter(lambda w: w != k + 1))]
+            else:
+                row = [data.draw(st.sampled_from([" ", "\t", "  "]))]
+            lines.insert(data.draw(st.integers(0, len(lines))), ",".join(row))
+        ends = data.draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]), label="ends")
+        header = ",".join([f"logit_{i}" for i in range(k)] + ["label"])
+        text = "".join(
+            line + (data.draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends)
+            for line in [header] + lines
+        )
+        path = tmp_path_factory.mktemp("blocks") / "d.csv"
+        path.write_bytes(text.encode())
+        block = data.draw(st.integers(100, 400), label="block")  # several blocks per file
+        with mock.patch.object(kio, "_BLOCK_BYTES", block):
+            got = read_outcome(read_logit_csv, str(path))
+        assert got == read_outcome(reference_read_logit_csv, str(path))
+
+    def test_bad_line_past_the_first_block_exits_2_naming_it(self, tmp_path):
+        rng = np.random.default_rng(64)
+        rows = [",".join(map(repr, rng.normal(size=10).tolist())) + f",{i % 10}" for i in range(5000)]
+        bad = 4000
+        rows[bad] = "oops" + rows[bad]
+        val = tmp_path / "val.csv"
+        val.write_text("\n".join([",".join(f"logit_{i}" for i in range(10)) + ",label"] + rows) + "\n")
+        assert sum(len(r) + 1 for r in rows[:bad]) > 2 * kio._BLOCK_BYTES
+        code, err = run_main(["calibrate", "--val", str(val), "--test", str(val), "--method", "ts",
+                              "--out-report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert err == f"error: {read_outcome(reference_read_logit_csv, str(val))}\n"
+        assert err.startswith(f"error: line {bad + 2}: could not convert string to float: 'oops")
+
+    def test_crlf_file_across_blocks_reads_as_its_lf_twin(self, tmp_path):
+        rng = np.random.default_rng(65)
+        header = "logit_0,logit_1,logit_2,label"
+        rows = [",".join(map(repr, rng.normal(size=3).tolist())) + f",{i % 3}" for i in range(4000)]
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes("\r\n".join([header] + rows).encode() + b"\r\n")
+        with open(crlf, newline="") as fh:
+            fh.readline()
+            first = len(fh.readlines(kio._BLOCK_BYTES))
+        rows.insert(first, "")  # the first line of the second block is blank
+        crlf.write_bytes("\r\n".join([header] + rows).encode() + b"\r\n")
+        with open(crlf, newline="") as fh:
+            fh.readline()
+            assert len(fh.readlines(kio._BLOCK_BYTES)) == first
+            assert fh.readline() == "\r\n"
+        assert crlf.stat().st_size > 3 * kio._BLOCK_BYTES
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes("\n".join([header] + rows).encode() + b"\n")
+        a, b = read_logit_csv(str(crlf)), read_logit_csv(str(lf))
+        assert a.logits.tobytes() == b.logits.tobytes() and a.logits.shape == (4000, 3)
+        np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_bad_line_before_a_later_undecodable_byte_is_reported(self, tmp_path):
+        # The bad float and the bad byte share a block but not an 8 KB decoding
+        # chunk, so a line-by-line read meets the bad float first.
+        rows = [f"{i}.5,-{i}.25,{i % 2}" for i in range(2000)]
+        rows[3] = "1.0,oops,0"
+        rows[1500] = "1.0,@,0"
+        path = tmp_path / "bad.csv"
+        path.write_bytes("\n".join(["logit_0,logit_1,label"] + rows).encode().replace(b"@", b"\xff") + b"\n")
+        assert 8192 < path.stat().st_size < kio._BLOCK_BYTES
+        with pytest.raises(FileFormatError, match="could not convert") as err:
+            read_logit_csv(str(path))
+        assert err.value.line == 5
+        assert read_outcome(reference_read_logit_csv, str(path)) == str(err.value)
+
+    def test_rows_whose_column_counts_cancel_are_rejected(self, tmp_path):
+        # Joined, the two rows split into two records' worth of integer tokens.
+        path = tmp_path / "bad.csv"
+        path.write_text("logit_0,logit_1,label\n1,2,0,0\n1,0\n")
+        with pytest.raises(FileFormatError, match="expected 3 columns, found 4") as err:
+            read_logit_csv(str(path))
+        assert err.value.line == 2
+
+    def test_read_hands_its_arrays_to_the_dataset(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(66)
+        path = tmp_path / "d.csv"
+        write_logit_csv(LogitDataset(rng.normal(size=(5000, 10)), rng.integers(0, 10, 5000)), str(path))
+        monkeypatch.setattr(kio, "_BLOCK_BYTES", 4096)  # keeps one block's strings small next to the arrays
+        tracemalloc.start()
+        try:
+            ds = read_logit_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # At most the blocks' arrays and their concatenation are alive at once.
+        assert peak < 2.5 * (ds.logits.nbytes + ds.labels.nbytes)
+        assert not ds.logits.flags.writeable and not ds.labels.flags.writeable
+
+        def checked_again(self):
+            raise AssertionError("read_logit_csv copied or re-checked its records")
+
+        monkeypatch.setattr(LogitDataset, "__post_init__", checked_again)
+        assert read_logit_csv(str(path)).logits.tobytes() == ds.logits.tobytes()
 
     def test_header_only_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -306,6 +486,13 @@ class TestCalibrateCommand:
         write_logit_csv(ds, str(test3))
         assert main(["calibrate", "--val", val, "--test", str(test3), "--method", "ts",
                      "--out-report", str(tmp_path / "r.json")]) == 3
+
+    def test_negative_min_class_samples_exits_2(self, tmp_path):
+        val, test = wellspec_files(tmp_path, np.random.default_rng(67), n=200)
+        code, err = run_main(["calibrate", "--val", val, "--test", test, "--method", "cts",
+                              "--min-class-samples", "-4", "--out-report", str(tmp_path / "r.json")])
+        assert code == 2 and err == "error: min_class_samples must be >= 0, got -4\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_bad_gamma_exits_2(self, tmp_path):
         code, err = run_main(["calibrate", "--val", "v.csv", "--test", "t.csv", "--method", "cts",

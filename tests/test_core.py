@@ -1,6 +1,7 @@
 """Domain types, softmax, the NLL kernel, prediction, and class splitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,48 @@ class TestLogitDataset:
     def test_empty_dataset_allowed(self):
         ds = LogitDataset(np.zeros((0, 4)), np.zeros(0, dtype=int))
         assert ds.num_records == 0 and ds.num_classes == 4
+
+    def test_constructor_copies_caller_arrays(self):
+        logits, labels = np.zeros((3, 2)), np.array([0, 1, 0])
+        ds = LogitDataset(logits, labels)
+        logits[0, 0], labels[0] = 5.0, 1
+        assert ds.logits[0, 0] == 0.0 and ds.labels[0] == 0
+        assert logits.flags.writeable and labels.flags.writeable
+        assert not np.shares_memory(ds.logits, logits) and not np.shares_memory(ds.labels, labels)
+
+    def test_subset_holds_its_gathers_without_a_second_copy(self):
+        rng = np.random.default_rng(9)
+        ds = LogitDataset(rng.normal(size=(20000, 10)), rng.integers(0, 10, 20000))
+        idx = np.flatnonzero(ds.labels < 5)
+        tracemalloc.start()
+        try:
+            part = ds.subset(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One gather of each array; a copy of it would double the peak.
+        assert peak < 1.5 * (part.logits.nbytes + part.labels.nbytes)
+        np.testing.assert_array_equal(part.logits, ds.logits[idx])
+        np.testing.assert_array_equal(part.labels, ds.labels[idx])
+        assert not part.logits.flags.writeable and not part.labels.flags.writeable
+        assert not np.shares_memory(part.logits, ds.logits)
+
+    def test_subset_does_not_check_its_records_again(self, monkeypatch):
+        ds = LogitDataset(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([1, 0]))
+
+        def checked_again(self):
+            raise AssertionError("subset copied or re-checked its records")
+
+        monkeypatch.setattr(LogitDataset, "__post_init__", checked_again)
+        part = ds.subset(np.array([1]))
+        assert part.logits.tolist() == [[2.0, 3.0]] and part.labels.tolist() == [0]
+
+    def test_subset_rejects_indices_that_are_not_1d(self):
+        ds = LogitDataset(np.zeros((3, 2)), np.array([0, 1, 0]))
+        with pytest.raises(InvalidInputError):
+            ds.subset(np.int64(1))
+        with pytest.raises(InvalidInputError):
+            ds.subset(np.zeros((2, 1), dtype=int))
 
 
 class TestModels:
