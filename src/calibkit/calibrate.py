@@ -61,8 +61,11 @@ class FitConfig:
     """Search bounds, the multi-task radius, and the per-class fallback size.
 
     `alpha_lo`/`alpha_hi` bound the shared temperature (and each per-class
-    search). The defaults are wide enough that no sane fixture ends up on a
-    boundary; boundary hits are reported as warnings, not errors.
+    search), with 0 < alpha_lo < alpha_hi < inf: the scalar search needs a
+    finite interval of positive length. The defaults are wide enough that no
+    sane fixture ends up on a boundary; boundary hits are reported as
+    warnings, not errors. `min_class_samples` is an integer >= 0 (not a
+    bool).
     """
 
     alpha_lo: float = 0.01
@@ -71,12 +74,15 @@ class FitConfig:
     min_class_samples: int = 10
 
     def __post_init__(self):
-        if not (0 < self.alpha_lo <= self.alpha_hi):
-            raise ConfigError(f"need 0 < alpha_lo <= alpha_hi, got [{self.alpha_lo}, {self.alpha_hi}]")
+        if not (0 < self.alpha_lo < self.alpha_hi < math.inf):
+            raise ConfigError(f"need 0 < alpha_lo < alpha_hi < inf, got [{self.alpha_lo}, {self.alpha_hi}]")
         if math.isnan(self.gamma) or self.gamma < 0:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
-        if self.min_class_samples < 0:
-            raise ConfigError(f"min_class_samples must be >= 0, got {self.min_class_samples}")
+        m = self.min_class_samples
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ConfigError(f"min_class_samples must be an integer, got {m!r}")
+        if m < 0:
+            raise ConfigError(f"min_class_samples must be >= 0, got {m}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,7 @@ def _finish(model, val, evals, fallbacks, warnings) -> FitResult:
         val_nll=after.mean_nll,
         iterations=evals,
         fallback_classes=fallbacks,
-        accuracy_before=float(np.mean(np.argmax(val.logits, axis=1) == val.labels)),
+        accuracy_before=float(np.mean(val.top[0] == val.labels)),
         accuracy_after=after.accuracy,
         warnings=warnings,
     )
@@ -148,8 +154,9 @@ def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit class-wise temperature scaling under the configured gamma.
 
     alpha0 is the TS solution. Records are split by the argmax of their raw
-    logits, the rule `predict` routes class temperatures by. Each non-empty
-    slice, taken once as a dataset of its own, then gets its own
+    logits (`LogitDataset.top`), the rule `predict` routes class
+    temperatures by. Each non-empty slice, taken once as a dataset of its
+    own that gathers its records' top entries, then gets its own
     temperature, minimizing that slice's NLL on
     [max(alpha0 - gamma, alpha_lo), alpha0 + gamma] (on [alpha_lo, alpha_hi]
     when gamma = inf); this is the joint optimum, because the objective is a
@@ -171,8 +178,7 @@ def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     alphas = np.full(val.num_classes, alpha0)
     fallbacks = []
     if bounds[0] < bounds[1]:
-        raw_predicted = np.argmax(val.logits, axis=1)
-        for k, idx in enumerate(split_by_predicted(raw_predicted, val.num_classes)):
+        for k, idx in enumerate(split_by_predicted(val.top[0], val.num_classes)):
             if decoupled and idx.size < cfg.min_class_samples:
                 fallbacks.append(k)
                 continue

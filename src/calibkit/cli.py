@@ -125,14 +125,14 @@ def _per_class_table(num_classes: int, before, after) -> list[dict]:
 
 
 def cmd_calibrate(args) -> int:
+    cfg = _fit_config(args)
+    binning = BinningConfig(args.bins)
     val = kio.read_logit_csv(args.val)
     test = kio.read_logit_csv(args.test)
     if val.num_classes != test.num_classes:
         raise ClassCountMismatchError(
             f"validation has {val.num_classes} classes, test has {test.num_classes}"
         )
-    cfg = _fit_config(args)
-    binning = BinningConfig(args.bins)
 
     warnings: list[str] = []
     fallbacks: list[int] = []
@@ -209,6 +209,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_reliability(args) -> int:
+    binning = BinningConfig(args.bins)
     dataset = kio.read_logit_csv(args.file)
     model = Identity()
     if args.model:
@@ -217,7 +218,6 @@ def cmd_reliability(args) -> int:
             raise ClassCountMismatchError(
                 f"model has {k} classes, dataset has {dataset.num_classes}"
             )
-    binning = BinningConfig(args.bins)
     stats = bin_stats(predict(dataset, model), binning)
     kio.write_reliability_csv(reliability_rows(stats, binning), args.out)
     print(f"wrote {binning.num_bins} bins for {dataset.num_records} records to {args.out}")

@@ -8,12 +8,20 @@ from one kernel pass over the calibrated logits), and `split_by_predicted`,
 which turns a vector of labels into one plain index array per class: CTS
 fits split by the raw argmax and per-class metrics by the predicted label,
 each once. Classes are indexed 0..K-1 everywhere, including file formats.
+
+A dataset finds each record's raw top class and top logit once, on first
+use (`LogitDataset.top`). The temperature variants multiply a record's
+logits by one positive factor, which keeps their order, so `predict` takes
+the calibrated row maximum as that factor times the top logit and the
+prediction as the top class, with no reduction over the rows; only records
+whose top probabilities tie after `exp` fall back to an argmax.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,23 +75,53 @@ def softmax_nll(u: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return u, total, np.log(total) - u_y
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _label_array(labels, num_classes: int) -> np.ndarray:
+    """Labels as a fresh int64 array; whole-valued floats are accepted.
+
+    Integer arrays are cast directly. Bool, complex and non-numeric labels,
+    and float labels that are not whole numbers, raise InvalidInputError
+    rather than being cast (a cast would truncate 0.5 to 0 and True to 1).
+    """
+    raw = np.asarray(labels)
+    if raw.dtype.kind in "iu":
+        return raw.astype(np.int64)
+    if raw.dtype.kind != "f":
+        raise InvalidInputError(f"labels must be integers, got dtype {raw.dtype}")
+    if not np.all(np.isfinite(raw) & (np.floor(raw) == raw)):
+        raise InvalidInputError("labels must be whole numbers")
+    # Checked before the cast, which is undefined past 2**63.
+    if raw.size and (raw.min() < 0 or raw.max() >= num_classes):
+        raise InvalidInputError("labels must lie in [0, num_classes)")
+    return raw.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class LogitDataset:
     """N records of (K raw logits, true label in [0, K)).
 
     Immutable after construction: the constructor copies the arrays it is
     given and marks the copies read-only. K = 1 is rejected: calibration is
-    undefined with a single class.
+    undefined with a single class. Logits must be real and finite; labels
+    must be integers or whole-valued floats. `top` caches each record's raw
+    top class and top logit, computed on first use.
     """
 
     logits: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        raw = np.asarray(self.logits)
+        if raw.dtype.kind not in "biuf":
+            raise InvalidInputError(f"logits must be real numbers, got dtype {raw.dtype}")
+        logits = raw.astype(np.float64)
         if logits.ndim != 2:
             raise InvalidInputError("logits must be a 2-D (records x classes) array")
+        labels = _label_array(self.labels, logits.shape[1])
         if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
             raise InvalidInputError("labels must be 1-D with one entry per record")
         if logits.shape[1] < 2:
@@ -92,7 +130,7 @@ class LogitDataset:
             raise InvalidInputError("logits contain NaN or Inf")
         if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
             raise InvalidInputError("labels must lie in [0, num_classes)")
-        self._hold(logits.copy(), labels.copy())
+        self._hold(logits, labels)
 
     @classmethod
     def _adopt(cls, logits: np.ndarray, labels: np.ndarray) -> "LogitDataset":
@@ -106,10 +144,8 @@ class LogitDataset:
         return dataset
 
     def _hold(self, logits: np.ndarray, labels: np.ndarray) -> None:
-        logits.flags.writeable = False
-        labels.flags.writeable = False
-        object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "logits", _read_only(logits))
+        object.__setattr__(self, "labels", _read_only(labels))
 
     @property
     def num_records(self) -> int:
@@ -119,13 +155,32 @@ class LogitDataset:
     def num_classes(self) -> int:
         return self.logits.shape[1]
 
+    @cached_property
+    def top(self) -> tuple[np.ndarray, np.ndarray]:
+        """(top_class, top_logit): each record's raw argmax and the logit there.
+
+        Read-only, and computed on first use, once: building or reading a
+        dataset does not pay for it. Ties go to the lowest class index.
+        """
+        top_class = np.argmax(self.logits, axis=1)
+        top_logit = self.logits[np.arange(self.num_records), top_class]
+        return _read_only(top_class), _read_only(top_logit)
+
     def subset(self, indices: np.ndarray) -> "LogitDataset":
-        """Dataset restricted to the given record indices (order preserved)."""
+        """Dataset restricted to the given record indices (order preserved).
+
+        If this dataset has computed `top`, the subset gathers its entries
+        rather than computing them again.
+        """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1:
             raise InvalidInputError("subset indices must be 1-D")
         # The gathers are new arrays of records that passed the checks.
-        return LogitDataset._adopt(self.logits[idx], self.labels[idx])
+        sub = LogitDataset._adopt(self.logits[idx], self.labels[idx])
+        top = self.__dict__.get("top")
+        if top is not None:
+            sub.__dict__["top"] = tuple(_read_only(arr[idx]) for arr in top)
+        return sub
 
 
 @dataclass(frozen=True)
@@ -177,8 +232,8 @@ class PredictionSet:
 class Identity:
     """No calibration: probabilities are the softmax of the raw logits."""
 
-    def scaled_logits(self, logits: np.ndarray) -> np.ndarray:
-        return np.asarray(logits, dtype=np.float64)
+    def row_scale(self, top_class: np.ndarray) -> float:
+        return 1.0
 
     def __eq__(self, other):
         return isinstance(other, Identity)
@@ -202,8 +257,8 @@ class Temperature:
             raise InvalidModelError(f"temperature must be finite and positive, got {self.alpha}")
         object.__setattr__(self, "alpha", float(self.alpha))
 
-    def scaled_logits(self, logits: np.ndarray) -> np.ndarray:
-        return self.alpha * np.asarray(logits, dtype=np.float64)
+    def row_scale(self, top_class: np.ndarray) -> float:
+        return self.alpha
 
 
 @dataclass(frozen=True)
@@ -243,9 +298,9 @@ class ClassWiseTemperature:
     def num_classes(self) -> int:
         return self.alphas.shape[0]
 
-    def scaled_logits(self, logits: np.ndarray) -> np.ndarray:
-        z = np.asarray(logits, dtype=np.float64)
-        return self.alphas[np.argmax(z, axis=1)][:, None] * z
+    def row_scale(self, top_class: np.ndarray) -> np.ndarray:
+        """Column of each record's factor, alphas[k] for raw top class k."""
+        return self.alphas[top_class][:, None]
 
 
 @dataclass(frozen=True)
@@ -301,18 +356,38 @@ def predict(dataset: LogitDataset, model: CalibrationModel) -> PredictionSet:
     scaling), the confidence, the correctness and the per-record NLL.
     Deterministic: ties go to the lowest class index. Raises
     InvalidInputError if the calibrated logits contain NaN or Inf.
+
+    The temperature variants multiply a record's logits by one positive
+    factor (`row_scale`), and rounding is monotone, so the calibrated row
+    maximum is exactly that factor times the record's cached top logit
+    (`LogitDataset.top`), and the raw top class attains the largest
+    probability. It is the prediction unless another class's probability
+    equals it: a tie, exact in the raw logits or made by the scaling or by
+    `exp`. One comparison over the probabilities finds such rows; if there
+    are any, the prediction falls back to the argmax of the probabilities.
     """
     check_model_classes(model, dataset.num_classes)
-    u = model.scaled_logits(dataset.logits)
+    if isinstance(model, Vector):
+        top_class = None
+        u = model.scaled_logits(dataset.logits)
+    else:
+        top_class, top_logit = dataset.top
+        scale = model.row_scale(top_class)
+        u = scale * dataset.logits
     if not np.all(np.isfinite(u)):
         raise InvalidInputError("calibrated logits contain NaN or Inf")
-    probs, total, nll = softmax_nll(u - u.max(axis=1, keepdims=True), dataset.labels)
+    u -= u.max(axis=1, keepdims=True) if top_class is None else scale * top_logit[:, None]
+    probs, total, nll = softmax_nll(u, dataset.labels)
     probs /= total[:, None]
-    pred = np.argmax(probs, axis=1)
+    n = dataset.num_records
+    pred = np.argmax(probs, axis=1) if top_class is None else top_class
+    confidence = probs[np.arange(n), pred]
+    if top_class is not None and np.count_nonzero(probs == confidence[:, None]) != n:
+        pred = np.argmax(probs, axis=1)  # a tie: the first tied class wins
     return PredictionSet(
         probs=probs,
         predicted=pred,
-        confidence=probs[np.arange(dataset.num_records), pred],
+        confidence=confidence,
         correct=pred == dataset.labels,
         nll=nll,
     )

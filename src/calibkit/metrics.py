@@ -49,14 +49,17 @@ class BinningConfig:
     """M equal-width confidence bins over [0, 1].
 
     Bin 1 covers [0, 1/M]; bin i >= 2 covers ((i-1)/M, i/M], so a confidence
-    of exactly 1.0 lands in the last bin.
+    of exactly 1.0 lands in the last bin. M must be an integer (not a bool).
     """
 
     num_bins: int = DEFAULT_NUM_BINS
 
     def __post_init__(self):
-        if self.num_bins < 1:
-            raise ConfigError(f"need at least 1 bin, got {self.num_bins}")
+        m = self.num_bins
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ConfigError(f"the number of bins must be an integer, got {m!r}")
+        if m < 1:
+            raise ConfigError(f"need at least 1 bin, got {m}")
 
     def bin_indices(self, confidence: np.ndarray) -> np.ndarray:
         """0-based bin index for each confidence value."""

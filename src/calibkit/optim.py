@@ -296,10 +296,11 @@ def temperature_nll(dataset: LogitDataset, alpha: float) -> tuple[float, float, 
     Returns (mean NLL, mean(E_p[z] - z_y), mean(Var_p[z])) from one softmax
     pass over every record of `dataset`; a CTS fit passes each
     predicted-class slice as its own dataset. The second derivative is a
-    variance, so the NLL is convex in alpha.
+    variance, so the NLL is convex in alpha. The logits are shifted by the
+    dataset's cached top logits, so every row's maximum is 0.
     """
     z, y = dataset.logits, dataset.labels
-    u = z - z.max(axis=1, keepdims=True)  # shift-invariant; every row's max is 0
+    u = z - dataset.top[1][:, None]  # shift-invariant
     e, s, nll = softmax_nll(alpha * u, y)
     mean_u = np.einsum("ij,ij->i", e, u) / s
     e *= u

@@ -190,6 +190,11 @@ def population_confidence_accuracy(
 def fit_constrained_logistic(dataset: BinaryDataset, radius: float) -> LinearBinaryClassifier:
     """Minimize empirical binary NLL over ||weight|| <= radius with a free intercept.
 
+    The fit runs on the distinct (x, y) records, each weighted by its count
+    in the sample: the same objective as the mean over every record, up to
+    summation order, at the cost of the distinct records alone (two or three
+    on the paper's atom distributions). They are taken in sorted order, so
+    the order of the sample's records does not change the result.
     Projected gradient descent from (0, 0); the projection radially rescales
     the weight onto the ball and never touches the intercept. The stopping
     rule is relative (improvement below `LOGISTIC_TOL` * |loss|) so the fit
@@ -198,20 +203,20 @@ def fit_constrained_logistic(dataset: BinaryDataset, radius: float) -> LinearBin
     """
     if radius <= 0:
         raise ConfigError(f"radius must be positive, got {radius}")
-    x, y = dataset.x, dataset.y
-    n, d = x.shape
-    ys = 2.0 * y - 1.0
+    n, d = dataset.x.shape
+    atoms, counts = np.unique(np.column_stack([dataset.x, dataset.y]), axis=0, return_counts=True)
+    x, ys = atoms[:, :d], 2.0 * atoms[:, d] - 1.0
 
     def objective(p: np.ndarray) -> float:
         z = x @ p[:d] + p[d]
-        return float(np.mean(np.logaddexp(0.0, -ys * z)))
+        return float(counts @ np.logaddexp(0.0, -ys * z) / n)
 
     def gradient(p: np.ndarray) -> np.ndarray:
         z = x @ p[:d] + p[d]
-        s = -ys * _sigmoid(-ys * z)
+        s = -ys * _sigmoid(-ys * z) * counts
         g = np.empty(d + 1)
         g[:d] = x.T @ s / n
-        g[d] = s.mean()
+        g[d] = s.sum() / n
         return g
 
     def project(p: np.ndarray) -> np.ndarray:

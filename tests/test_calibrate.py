@@ -140,6 +140,20 @@ class TestFitConfig:
             FitConfig(min_class_samples=-4)
         assert FitConfig(min_class_samples=0).min_class_samples == 0
 
+    @pytest.mark.parametrize("value", [2.5, float("nan"), True, "3"])
+    def test_min_class_samples_that_are_not_integers_rejected(self, value):
+        with pytest.raises(ConfigError, match="min_class_samples must be an integer"):
+            FitConfig(min_class_samples=value)
+        assert FitConfig(min_class_samples=np.int64(3)).min_class_samples == 3
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1.0, 1.0), (2.0, 1.0), (0.01, math.inf), (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (0.01, math.nan)],
+    )
+    def test_bounds_need_a_finite_positive_interval(self, lo, hi):
+        with pytest.raises(ConfigError, match=r"need 0 < alpha_lo < alpha_hi < inf"):
+            FitConfig(alpha_lo=lo, alpha_hi=hi)
+
 
 class TestFitTS:
     def test_wellspec_recovers_alpha_one(self):

@@ -494,6 +494,22 @@ class TestCalibrateCommand:
         assert code == 2 and err == "error: min_class_samples must be >= 0, got -4\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alpha-lo", "1", "--alpha-hi", "1"], "need 0 < alpha_lo < alpha_hi < inf, got [1.0, 1.0]"),
+            (["--alpha-hi", "inf"], "need 0 < alpha_lo < alpha_hi < inf, got [0.01, inf]"),
+            (["--alpha-lo", "nan"], "need 0 < alpha_lo < alpha_hi < inf, got [nan, 100.0]"),
+            (["--bins", "0"], "need at least 1 bin, got 0"),
+        ],
+    )
+    def test_bad_fit_settings_exit_2_before_reading(self, tmp_path, flags, message):
+        # The files do not exist: the settings are checked before any read.
+        code, err = run_main(["calibrate", "--val", str(tmp_path / "v.csv"), "--test", str(tmp_path / "t.csv"),
+                              "--method", "ts", *flags, "--out-report", str(tmp_path / "r.json")])
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not list(tmp_path.iterdir())
+
     def test_bad_gamma_exits_2(self, tmp_path):
         code, err = run_main(["calibrate", "--val", "v.csv", "--test", "t.csv", "--method", "cts",
                               "--gamma", "abc", "--out-report", str(tmp_path / "r.json")])
@@ -544,6 +560,12 @@ class TestCalibrateCommand:
 
 
 class TestReliabilityCommand:
+    def test_zero_bins_exit_2_before_reading(self, tmp_path):
+        code, err = run_main(["reliability", "--file", str(tmp_path / "v.csv"), "--bins", "0",
+                              "--out", str(tmp_path / "rel.csv")])
+        assert (code, err) == (2, "error: need at least 1 bin, got 0\n")
+        assert not list(tmp_path.iterdir())
+
     def test_row_count_equals_bins(self, tmp_path):
         rng = np.random.default_rng(66)
         val, _ = wellspec_files(tmp_path, rng, n=600)

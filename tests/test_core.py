@@ -146,6 +146,35 @@ class TestLogitDataset:
         with pytest.raises(InvalidInputError):
             LogitDataset(np.array([[0.0, np.inf]]), np.array([0]))
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([0.5, 1.9]),
+            np.array([0.0, np.nan]),
+            np.array([np.inf, 0.0]),
+            np.array([True, False]),
+            np.array(["1", "0"]),
+            np.array([1 + 0j, 0j]),
+            np.array([1, 0], dtype=object),
+        ],
+    )
+    def test_rejects_labels_that_are_not_integers(self, labels):
+        with pytest.raises(InvalidInputError):
+            LogitDataset(np.zeros((2, 3)), labels)
+
+    def test_whole_float_labels_are_accepted(self):
+        for labels in (np.array([2.0, 0.0]), [1.0, 0.0], np.array([1.0, 2.0], dtype=np.float32)):
+            ds = LogitDataset(np.zeros((2, 3)), labels)
+            assert ds.labels.dtype == np.int64
+            assert ds.labels.tolist() == [int(v) for v in labels]
+        with pytest.raises(InvalidInputError):
+            LogitDataset(np.zeros((2, 3)), np.array([1e300, 0.0]))
+
+    def test_rejects_complex_and_non_numeric_logits(self):
+        for logits in (np.zeros((2, 2), dtype=complex), np.array([["1", "2"], ["3", "4"]])):
+            with pytest.raises(InvalidInputError):
+                LogitDataset(logits, np.array([0, 1]))
+
     def test_arrays_are_read_only(self):
         ds = LogitDataset(np.zeros((2, 2)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):

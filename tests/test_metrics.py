@@ -49,6 +49,14 @@ class TestBinning:
         with pytest.raises(ConfigError):
             BinningConfig(0)
 
+    @pytest.mark.parametrize("num_bins", [2.5, 15.0, True, float("nan"), "15", None])
+    def test_bins_that_are_not_integers_rejected(self, num_bins):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            BinningConfig(num_bins)
+
+    def test_numpy_integer_bins_accepted(self):
+        assert BinningConfig(np.int64(15)).num_bins == 15
+
     def test_edge_inclusion_confidence_one(self):
         # Saturated softmax puts confidence exactly 1.0 into the last bin.
         ds = LogitDataset(np.array([[800.0, 0.0]]), np.array([0]))

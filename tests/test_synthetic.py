@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from calibkit import synthetic
 from calibkit.core import Identity, predict
 from calibkit.errors import ConfigError, DegenerateNoiseError
 from calibkit.metrics import BinningConfig, bin_stats, ece
+from calibkit.optim import GradientProblem, projected_gd
 from calibkit.synthetic import (
     BinaryDataset,
     HeteroLogitSpec,
@@ -164,6 +166,54 @@ class TestFitConstrainedLogistic:
     def test_radius_must_be_positive(self):
         with pytest.raises(ConfigError):
             fit_constrained_logistic(BinaryDataset(np.ones((2, 1)), np.array([0, 1])), 0.0)
+
+
+def rowwise_constrained_logistic(dataset, radius):
+    """The constrained logistic fit with its loss and gradient summed over every record."""
+    x, y = dataset.x, dataset.y
+    n, d = x.shape
+    ys = 2.0 * y - 1.0
+
+    def objective(p):
+        return float(np.mean(np.logaddexp(0.0, -ys * (x @ p[:d] + p[d]))))
+
+    def gradient(p):
+        s = -ys * sigmoid(-ys * (x @ p[:d] + p[d]))
+        return np.append(x.T @ s / n, s.mean())
+
+    def project(p):
+        norm = np.linalg.norm(p[:d])
+        return p if norm <= radius else np.append(p[:d] * (radius / norm), p[d])
+
+    result = projected_gd(GradientProblem(objective, gradient, project, np.zeros(d + 1), max_iters=5000,
+                                          improvement_tol=0.0, relative_improvement_tol=1e-10))
+    return synthetic.LinearBinaryClassifier(weight=result.x[:d], intercept=result.x[d])
+
+
+class TestCountWeightedFit:
+    def test_row_order_does_not_change_the_fit(self):
+        spec = RareAtomSpec(n=50, epsilon=0.01)
+        rng = np.random.default_rng(5)
+        for count in (50, 1500):
+            idx = rng.choice(3, size=count, p=spec.atom_probs)
+            perm = rng.permutation(count)
+            a = fit_constrained_logistic(BinaryDataset(spec.atoms[idx], spec.atom_labels[idx]), spec.radius)
+            b = fit_constrained_logistic(
+                BinaryDataset(spec.atoms[idx[perm]], spec.atom_labels[idx[perm]]), spec.radius
+            )
+            assert a.weight.tobytes() == b.weight.tobytes()
+            assert np.float64(a.intercept).tobytes() == np.float64(b.intercept).tobytes()
+
+    @pytest.mark.parametrize("seed", [123, 2024])
+    def test_matches_the_rowwise_fit_on_rare_atom_trials(self, monkeypatch, seed):
+        fast = rare_atom_experiment(50, 0.01, trials=20, seed=seed)
+        monkeypatch.setattr(synthetic, "fit_constrained_logistic", rowwise_constrained_logistic)
+        slow = rare_atom_experiment(50, 0.01, trials=20, seed=seed)
+        assert len(fast) == len(slow) == 40
+        for a, b in zip(fast, slow):
+            assert (a.min_confidence, a.accuracy) == (b.min_confidence, b.accuracy)
+            np.testing.assert_allclose(a.weight, b.weight, rtol=0, atol=1e-9)
+            assert abs(a.intercept - b.intercept) <= 1e-9
 
 
 class TestRareAtomExperiment:
