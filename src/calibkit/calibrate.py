@@ -11,8 +11,8 @@ per-class scale and bias by one L-BFGS solve from the TS solution and may
 change predictions; temperature variants never do. Each fit hands its
 solver only the problem; constants in `optim` decide when a solve stops.
 Each fit ends with one `predict` pass over the validation set, which gives
-the fitted model's validation NLL and accuracy; applying a model to data is
-`core.predict`.
+the fitted model's validation NLL; applying a model to data, and so its
+accuracy before and after, is `core.predict`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .core import (
     split_by_predicted,
 )
 from .core import softmax  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
-from .errors import ConfigError, EmptyDatasetError, InvalidModelError
+from .errors import EmptyDatasetError, InvalidModelError, check_int, check_real
 from .metrics import nll  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 from .optim import (
     SCALAR_TOL,
@@ -64,8 +64,8 @@ class FitConfig:
     search), with 0 < alpha_lo < alpha_hi < inf: the scalar search needs a
     finite interval of positive length. The defaults are wide enough that no
     sane fixture ends up on a boundary; boundary hits are reported as
-    warnings, not errors. `min_class_samples` is an integer >= 0 (not a
-    bool).
+    warnings, not errors. `gamma` lies in [0, inf] and `min_class_samples`
+    is an integer >= 0.
     """
 
     alpha_lo: float = 0.01
@@ -74,15 +74,13 @@ class FitConfig:
     min_class_samples: int = 10
 
     def __post_init__(self):
-        if not (0 < self.alpha_lo < self.alpha_hi < math.inf):
-            raise ConfigError(f"need 0 < alpha_lo < alpha_hi < inf, got [{self.alpha_lo}, {self.alpha_hi}]")
-        if math.isnan(self.gamma) or self.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
-        m = self.min_class_samples
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-            raise ConfigError(f"min_class_samples must be an integer, got {m!r}")
-        if m < 0:
-            raise ConfigError(f"min_class_samples must be >= 0, got {m}")
+        lo = check_real("alpha_lo", self.alpha_lo, gt=0)
+        vars(self).update(
+            alpha_lo=lo,
+            alpha_hi=check_real("alpha_hi", self.alpha_hi, gt=lo),
+            gamma=check_real("gamma", self.gamma, ge=0, le=math.inf),
+            min_class_samples=check_int("min_class_samples", self.min_class_samples, ge=0),
+        )
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,6 @@ class FitResult:
     val_nll: float
     iterations: int
     fallback_classes: list[int] = field(default_factory=list)
-    accuracy_before: float = 0.0
-    accuracy_after: float = 0.0
     warnings: list[str] = field(default_factory=list)
 
 
@@ -130,14 +126,11 @@ def _scalar_fit(
 
 
 def _finish(model, val, evals, fallbacks, warnings) -> FitResult:
-    after = predict(val, model)
     return FitResult(
         model=model,
-        val_nll=after.mean_nll,
+        val_nll=predict(val, model).mean_nll,
         iterations=evals,
         fallback_classes=fallbacks,
-        accuracy_before=float(np.mean(val.top[0] == val.labels)),
-        accuracy_after=after.accuracy,
         warnings=warnings,
     )
 
@@ -198,8 +191,7 @@ def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     NLL is jointly convex in (scale, bias) and every accepted step lowers
     it, so the fitted NLL is never worse than the TS solution's. It raises
     OptimizationError if it does not converge within `optim.LBFGS_MAX_ITERS`
-    iterations. Vector scaling can change predictions, so the result reports
-    accuracy before and after.
+    iterations. Vector scaling can change predictions.
     """
     if val.num_records == 0:
         raise EmptyDatasetError("cannot fit on an empty validation set")
@@ -252,8 +244,9 @@ def model_to_dict(model: CalibrationModel, num_classes: int) -> dict:
 def model_from_dict(doc: dict) -> tuple[CalibrationModel, int]:
     """Parse a model document back into a (model, num_classes) pair.
 
-    Model invariants are re-validated by the constructors. A missing field,
-    or a field of the wrong type or shape, raises InvalidModelError.
+    The constructors check every field as they would any other input, so a
+    number given as a string or a bool is rejected. A missing field, or a
+    field of the wrong type or shape, raises InvalidModelError.
     """
     try:
         method = doc["method"]
@@ -263,15 +256,12 @@ def model_from_dict(doc: dict) -> tuple[CalibrationModel, int]:
         if method == "none":
             return Identity(), num_classes
         if method == "ts":
-            return Temperature(float(doc["alpha"])), num_classes
+            return Temperature(doc["alpha"]), num_classes
         if method == "cts":
-            gamma = doc["gamma"]
-            gamma = math.inf if gamma == "inf" else float(gamma)
-            model = ClassWiseTemperature(
-                float(doc["alpha0"]), np.asarray(doc["alphas"], dtype=np.float64), gamma
-            )
+            gamma = math.inf if doc["gamma"] == "inf" else doc["gamma"]
+            model = ClassWiseTemperature(doc["alpha0"], doc["alphas"], gamma)
         elif method == "vs":
-            model = Vector(np.asarray(doc["a"], dtype=np.float64), np.asarray(doc["b"], dtype=np.float64))
+            model = Vector(doc["a"], doc["b"])
         else:
             raise InvalidModelError(f"unknown method {method!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

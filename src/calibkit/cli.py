@@ -20,8 +20,16 @@ import numpy as np
 from . import calibrate as cal
 from . import io as kio
 from .core import Identity, predict
-from .errors import CalibkitError, ClassCountMismatchError, ConfigError, OptimizationError
-from .metrics import DEFAULT_NUM_BINS, BinningConfig, bin_stats, compute_report, reliability_rows
+from .errors import (
+    CalibkitError,
+    ClassCountMismatchError,
+    ConfigError,
+    OptimizationError,
+    check_array,
+    check_int,
+    check_real,
+)
+from .metrics import DEFAULT_NUM_BINS, MAX_BINS, BinningConfig, bin_stats, compute_report, reliability_rows
 from .sweep import SWEEP_AXES, run_sweep
 from .synthetic import (
     HeteroLogitSpec,
@@ -32,40 +40,41 @@ from .synthetic import (
 )
 
 
-def _at_least(kind, low, flag: str):
-    """An argparse type: `kind(text)` if that is >= `low`, else a ConfigError naming the text.
+def _number(check, flag: str, **bounds):
+    """An argparse type: the flag's text as a number, checked by `check` under the flag's name.
 
-    float() also reads 'inf' and 'infinity', in any case.
+    float() also reads 'inf' and 'nan'; text that is not a number goes to
+    `check` as it is, which rejects it.
     """
+    parse = int if check is check_int else float
 
-    def parse(text: str):
+    def convert(text: str):
         try:
-            value = kind(text)
+            value = parse(text)
         except ValueError:
-            value = None
-        if value is None or value < low:
-            raise ConfigError(f"{flag} must be {kind.__name__} >= {low}, got {text!r}")
-        return value
+            value = text
+        return check(flag, value, **bounds)
 
-    return parse
+    return convert
 
 
-def _parse_values(text: str) -> list[float]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(float(tok))  # also reads "inf"
-        except ValueError:
-            raise ConfigError(f"expected a comma-separated list of numbers, got {tok!r}") from None
-    if not out:
-        raise ConfigError("empty value list")
-    return out
+def _numbers(flag: str, **bounds):
+    """An argparse type: a comma-separated list of numbers, checked by `check_array`."""
+
+    def convert(text: str) -> np.ndarray:
+        tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+        values = []
+        for tok in tokens or [text]:  # an empty list fails on its whole text
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ConfigError(f"{flag} expects a comma-separated list of numbers, got {tok!r}") from None
+        return check_array(flag, values, **bounds)
+
+    return convert
 
 
-def _broadcast(values: list[float], k: int, name: str) -> np.ndarray:
+def _broadcast(values: np.ndarray, k: int, name: str) -> np.ndarray:
     if len(values) == 1:
         return np.full(k, values[0])
     if len(values) != k:
@@ -96,9 +105,9 @@ def _hetero_spec(args) -> HeteroLogitSpec:
     k = args.classes
     return HeteroLogitSpec(
         num_classes=k,
-        class_sizes=_broadcast(_parse_values(args.sizes), k, "--sizes"),
-        scales=_broadcast(_parse_values(args.scales), k, "--scales"),
-        noise_rates=_broadcast(_parse_values(args.noise), k, "--noise"),
+        class_sizes=_broadcast(args.sizes, k, "--sizes"),
+        scales=_broadcast(args.scales, k, "--scales"),
+        noise_rates=_broadcast(args.noise, k, "--noise"),
         margin=args.margin,
         seed=args.seed,
     )
@@ -278,14 +287,14 @@ def cmd_synth(args) -> int:
 def cmd_sweep(args) -> int:
     rows = run_sweep(
         axis=args.axis,
-        values=_parse_values(args.values),
+        values=args.values,
         base=_hetero_spec(args),
         cfg=_fit_config(args),
         binning=BinningConfig(args.bins),
         trials=args.trials,
         test_records=args.test_records,
     )
-    columns = ("axis_value", "method", "ece", "max_ece", "avg_ece", "nll", "accuracy")
+    columns = ("axis_value", "method", "ece", "max_ece", "avg_ece", "nll", "accuracy", "val_nll", "nll_gap")
     kio.write_table_csv([[getattr(r, c) for c in columns] for r in rows], columns, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -293,21 +302,25 @@ def cmd_sweep(args) -> int:
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     defaults = cal.FitConfig()
-    p.add_argument("--gamma", type=_at_least(float, 0, "--gamma"), default=defaults.gamma,
+    p.add_argument("--gamma", type=_number(check_real, "--gamma", ge=0, le=math.inf), default=defaults.gamma,
                    help="CTS radius; 'inf' decouples classes (default %(default)s)")
-    p.add_argument("--bins", type=int, default=DEFAULT_NUM_BINS,
+    p.add_argument("--bins", type=_number(check_int, "--bins", ge=1, le=MAX_BINS), default=DEFAULT_NUM_BINS,
                    help="confidence bins (default %(default)s)")
-    p.add_argument("--alpha-lo", type=float, default=defaults.alpha_lo)
-    p.add_argument("--alpha-hi", type=float, default=defaults.alpha_hi)
-    p.add_argument("--min-class-samples", type=int, default=defaults.min_class_samples)
+    p.add_argument("--alpha-lo", type=_number(check_real, "--alpha-lo", gt=0), default=defaults.alpha_lo)
+    p.add_argument("--alpha-hi", type=_number(check_real, "--alpha-hi", gt=0), default=defaults.alpha_hi)
+    p.add_argument("--min-class-samples", type=_number(check_int, "--min-class-samples", ge=0),
+                   default=defaults.min_class_samples)
 
 
 def _add_hetero_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--classes", type=_at_least(int, 2, "--classes"), default=10)
-    p.add_argument("--sizes", default="1000", help="per-class records per split (1 or K values)")
-    p.add_argument("--scales", default="1", help="per-class logit scales (1 or K values)")
-    p.add_argument("--noise", default="0", help="per-class label-noise rates (1 or K values)")
-    p.add_argument("--margin", type=float, default=2.0)
+    p.add_argument("--classes", type=_number(check_int, "--classes", ge=2), default=10)
+    p.add_argument("--sizes", type=_numbers("--sizes", integer=True, ge=0), default="1000",
+                   help="per-class records per split (1 or K values)")
+    p.add_argument("--scales", type=_numbers("--scales", gt=0), default="1",
+                   help="per-class logit scales (1 or K values)")
+    p.add_argument("--noise", type=_numbers("--noise", ge=0, lt=1), default="0",
+                   help="per-class label-noise rates (1 or K values)")
+    p.add_argument("--margin", type=_number(check_real, "--margin", gt=0), default=2.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,31 +342,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reliability", help="export reliability-diagram rows to CSV")
     p.add_argument("--file", required=True)
     p.add_argument("--model", help="optional fitted-model JSON to apply first")
-    p.add_argument("--bins", type=int, default=DEFAULT_NUM_BINS)
+    p.add_argument("--bins", type=_number(check_int, "--bins", ge=1, le=MAX_BINS), default=DEFAULT_NUM_BINS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reliability)
 
     p = sub.add_parser("synth", help="generate synthetic datasets or trial tables")
     p.add_argument("--kind", required=True, choices=["dnoisy", "theorem1", "hetero"])
-    p.add_argument("--seed", type=_at_least(int, 0, "--seed"), required=True)
+    p.add_argument("--seed", type=_number(check_int, "--seed", ge=0), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=1000, help="records (dnoisy) or small-sample size (theorem1)")
-    p.add_argument("--p-plus", type=float, default=0.0)
-    p.add_argument("--p-minus", type=float, default=0.0)
-    p.add_argument("--p-test", type=float, default=0.0)
-    p.add_argument("--dim", type=_at_least(int, 1, "--dim"), default=2)
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--n", type=_number(check_int, "--n", ge=1), default=1000,
+                   help="records (dnoisy) or small-sample size (theorem1)")
+    for flag in ("--p-plus", "--p-minus", "--p-test"):
+        p.add_argument(flag, type=_number(check_real, flag, ge=0, lt=0.5), default=0.0)
+    p.add_argument("--dim", type=_number(check_int, "--dim", ge=1), default=2)
+    p.add_argument("--epsilon", type=_number(check_real, "--epsilon", gt=0, lt=0.5), default=0.01)
+    p.add_argument("--trials", type=_number(check_int, "--trials", ge=1), default=200)
     _add_hetero_flags(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sweep", help="generate-fit-evaluate curves for TS and CTS")
     p.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
-    p.add_argument("--values", required=True, help="comma-separated axis values ('inf' allowed)")
-    p.add_argument("--seed", type=_at_least(int, 0, "--seed"), required=True)
+    p.add_argument("--values", type=_numbers("--values", le=math.inf), required=True,
+                   help="comma-separated axis values ('inf' allowed)")
+    p.add_argument("--seed", type=_number(check_int, "--seed", ge=0), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--trials", type=int, default=30, help="trials per point (n_val axis)")
-    p.add_argument("--test-records", type=int, default=50_000)
+    p.add_argument("--trials", type=_number(check_int, "--trials", ge=1), default=30,
+                   help="trials per point (n_val axis)")
+    p.add_argument("--test-records", type=_number(check_int, "--test-records", ge=1), default=50_000)
     _add_hetero_flags(p)
     _add_fit_flags(p)
     p.set_defaults(func=cmd_sweep)
@@ -363,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # Inside the try: the `_at_least` flag types raise ConfigError.
+        # Inside the try: the numeric flag types raise ConfigError.
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ClassCountMismatchError as exc:

@@ -30,6 +30,8 @@ from .errors import (
     EmptyDatasetError,
     InvalidInputError,
     InvalidModelError,
+    check_array,
+    check_real,
 )
 
 __all__ = [
@@ -80,27 +82,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _label_array(labels, num_classes: int) -> np.ndarray:
-    """Labels as a fresh int64 array; whole-valued floats are accepted.
-
-    Integer arrays are cast directly. Bool, complex and non-numeric labels,
-    and float labels that are not whole numbers, raise InvalidInputError
-    rather than being cast (a cast would truncate 0.5 to 0 and True to 1).
-    """
-    raw = np.asarray(labels)
-    if raw.dtype.kind in "iu":
-        return raw.astype(np.int64)
-    if raw.dtype.kind != "f":
-        raise InvalidInputError(f"labels must be integers, got dtype {raw.dtype}")
-    if not np.all(np.isfinite(raw) & (np.floor(raw) == raw)):
-        raise InvalidInputError("labels must be whole numbers")
-    # Checked before the cast, which is undefined past 2**63.
-    if raw.size and (raw.min() < 0 or raw.max() >= num_classes):
-        raise InvalidInputError("labels must lie in [0, num_classes)")
-    return raw.astype(np.int64)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogitDataset:
     """N records of (K raw logits, true label in [0, K)).
 
@@ -108,28 +90,21 @@ class LogitDataset:
     given and marks the copies read-only. K = 1 is rejected: calibration is
     undefined with a single class. Logits must be real and finite; labels
     must be integers or whole-valued floats. `top` caches each record's raw
-    top class and top logit, computed on first use.
+    top class and top logit, computed on first use. Datasets compare and
+    hash by identity.
     """
 
     logits: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        raw = np.asarray(self.logits)
-        if raw.dtype.kind not in "biuf":
-            raise InvalidInputError(f"logits must be real numbers, got dtype {raw.dtype}")
-        logits = raw.astype(np.float64)
-        if logits.ndim != 2:
-            raise InvalidInputError("logits must be a 2-D (records x classes) array")
-        labels = _label_array(self.labels, logits.shape[1])
-        if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-            raise InvalidInputError("labels must be 1-D with one entry per record")
+        logits = check_array("logits", self.logits, ndim=2, error=InvalidInputError)
         if logits.shape[1] < 2:
             raise InvalidInputError("datasets need at least 2 classes")
-        if not np.all(np.isfinite(logits)):
-            raise InvalidInputError("logits contain NaN or Inf")
-        if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-            raise InvalidInputError("labels must lie in [0, num_classes)")
+        labels = check_array(
+            "labels", self.labels, integer=True, length=logits.shape[0], ge=0, lt=logits.shape[1],
+            error=InvalidInputError,
+        )
         self._hold(logits, labels)
 
     @classmethod
@@ -169,12 +144,13 @@ class LogitDataset:
     def subset(self, indices: np.ndarray) -> "LogitDataset":
         """Dataset restricted to the given record indices (order preserved).
 
-        If this dataset has computed `top`, the subset gathers its entries
-        rather than computing them again.
+        Indices must be integers in [0, num_records). If this dataset has
+        computed `top`, the subset gathers its entries rather than computing
+        them again.
         """
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise InvalidInputError("subset indices must be 1-D")
+        idx = check_array(
+            "indices", indices, integer=True, ge=0, lt=self.num_records, error=InvalidInputError
+        )
         # The gathers are new arrays of records that passed the checks.
         sub = LogitDataset._adopt(self.logits[idx], self.labels[idx])
         top = self.__dict__.get("top")
@@ -183,7 +159,7 @@ class LogitDataset:
         return sub
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionSet:
     """Per-record probabilities, predicted label, confidence, correctness and NLL.
 
@@ -253,9 +229,7 @@ class Temperature:
     alpha: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise InvalidModelError(f"temperature must be finite and positive, got {self.alpha}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        vars(self).update(alpha=check_real("alpha", self.alpha, gt=0, error=InvalidModelError))
 
     def row_scale(self, top_class: np.ndarray) -> float:
         return self.alpha
@@ -276,23 +250,12 @@ class ClassWiseTemperature:
     gamma: float
 
     def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=np.float64).copy()
-        if alphas.ndim != 1:
-            raise InvalidModelError("alphas must be a 1-D array with one entry per class")
-        if not (np.isfinite(self.alpha0) and self.alpha0 > 0):
-            raise InvalidModelError(f"shared temperature must be positive, got {self.alpha0}")
-        if not np.all(np.isfinite(alphas) & (alphas > 0)):
-            raise InvalidModelError("all class temperatures must be finite and positive")
-        if np.isnan(self.gamma) or self.gamma < 0:
-            raise InvalidModelError(f"gamma must be >= 0, got {self.gamma}")
-        if np.isfinite(self.gamma):
-            lo, hi = self.alpha0 - self.gamma, self.alpha0 + self.gamma
-            if np.any(alphas < lo) or np.any(alphas > hi):
-                raise InvalidModelError("class temperatures violate |alpha_k - alpha0| <= gamma")
-        alphas.flags.writeable = False
-        object.__setattr__(self, "alpha0", float(self.alpha0))
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        alpha0 = check_real("alpha0", self.alpha0, gt=0, error=InvalidModelError)
+        alphas = check_array("alphas", self.alphas, gt=0, error=InvalidModelError)
+        gamma = check_real("gamma", self.gamma, ge=0, le=math.inf, error=InvalidModelError)
+        if np.any(alphas < alpha0 - gamma) or np.any(alphas > alpha0 + gamma):
+            raise InvalidModelError("class temperatures violate |alpha_k - alpha0| <= gamma")
+        vars(self).update(alpha0=alpha0, alphas=alphas, gamma=gamma)
 
     @property
     def num_classes(self) -> int:
@@ -315,16 +278,10 @@ class Vector:
     bias: np.ndarray
 
     def __post_init__(self):
-        scale = np.asarray(self.scale, dtype=np.float64).copy()
-        bias = np.asarray(self.bias, dtype=np.float64).copy()
-        if scale.ndim != 1 or bias.shape != scale.shape:
-            raise InvalidModelError("scale and bias must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(scale)) and np.all(np.isfinite(bias))):
-            raise InvalidModelError("scale and bias must be finite")
-        scale.flags.writeable = False
-        bias.flags.writeable = False
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "bias", bias)
+        scale = check_array("scale", self.scale, error=InvalidModelError)
+        vars(self).update(
+            scale=scale, bias=check_array("bias", self.bias, length=scale.shape[0], error=InvalidModelError)
+        )
 
     @property
     def num_classes(self) -> int:

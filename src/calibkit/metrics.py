@@ -25,7 +25,7 @@ from .core import (
     split_by_predicted,
 )
 from .core import softmax  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
-from .errors import ConfigError, EmptyDatasetError
+from .errors import EmptyDatasetError, check_int
 
 __all__ = [
     "BinningConfig",
@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_NUM_BINS = 15
+# Bins finer than the spacing of doubles near 1 cannot be told apart.
+MAX_BINS = 2**53
 
 
 @dataclass(frozen=True)
@@ -49,17 +51,13 @@ class BinningConfig:
     """M equal-width confidence bins over [0, 1].
 
     Bin 1 covers [0, 1/M]; bin i >= 2 covers ((i-1)/M, i/M], so a confidence
-    of exactly 1.0 lands in the last bin. M must be an integer (not a bool).
+    of exactly 1.0 lands in the last bin. M is an integer in [1, MAX_BINS].
     """
 
     num_bins: int = DEFAULT_NUM_BINS
 
     def __post_init__(self):
-        m = self.num_bins
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-            raise ConfigError(f"the number of bins must be an integer, got {m!r}")
-        if m < 1:
-            raise ConfigError(f"need at least 1 bin, got {m}")
+        vars(self).update(num_bins=check_int("num_bins", self.num_bins, ge=1, le=MAX_BINS))
 
     def bin_indices(self, confidence: np.ndarray) -> np.ndarray:
         """0-based bin index for each confidence value."""

@@ -3,25 +3,19 @@
 Each sweep point fits TS and CTS on a validation split and evaluates on a
 test split. Rows carry the test-set calibration metrics (`nll` is the test
 NLL) plus the fitted model's validation NLL and the gap |val_nll - nll|,
-the generalization signal for the validation-size axis. Points (n_val
-trials on that axis) may run on worker threads, capped by the
-``CALIBKIT_THREADS`` environment variable; results are gathered in
-submission order and rows are sorted by (axis_value, method), so results
-do not depend on scheduling.
+the generalization signal for the validation-size axis. Points (and n_val
+trials) run in order, and rows are sorted by (axis_value, method).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .calibrate import FitConfig, fit_cts, fit_ts
-from .errors import ConfigError
+from .errors import ConfigError, check_array, check_int
 from .metrics import BinningConfig, compute_report
 from .metrics import nll  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 from .synthetic import HeteroLogitSpec, gen_hetero_logits
@@ -48,27 +42,6 @@ class SweepRow:
 
 # The SweepRow fields the n_val axis averages over trials.
 _METRICS = [f.name for f in fields(SweepRow) if f.name not in ("axis_value", "method")]
-
-
-def _worker_count(num_points: int) -> int:
-    raw = os.environ.get("CALIBKIT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        warnings.warn(f"CALIBKIT_THREADS={raw!r} is not a positive integer; using 1 worker")
-        cap = 1
-    return min(cap, max(num_points, 1))
-
-
-def _map_points(fn, items: list) -> list:
-    """[fn(item) for item in items], on up to `_worker_count` threads, in item order."""
-    workers = _worker_count(len(items))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _fit_and_eval(method, val, test, cfg, binning, axis_value) -> SweepRow:
@@ -98,8 +71,6 @@ def _spec_for_noise(base: HeteroLogitSpec, rho: float) -> HeteroLogitSpec:
 
 
 def _spec_for_size(base: HeteroLogitSpec, fraction: float) -> HeteroLogitSpec:
-    if not (0 < fraction <= 1):
-        raise ConfigError(f"size fractions must lie in (0, 1], got {fraction}")
     sizes = np.asarray(base.class_sizes).copy()
     h = _half(base.num_classes)
     sizes[:h] = np.maximum(1, np.round(sizes[:h] * fraction)).astype(np.int64)
@@ -111,11 +82,9 @@ def _point_rows(axis, value, base, cfg, binning) -> list[SweepRow]:
         splits = gen_hetero_logits(_spec_for_noise(base, value))
     elif axis == "size":
         splits = gen_hetero_logits(_spec_for_size(base, value))
-    elif axis == "gamma":
+    else:
         splits = gen_hetero_logits(base)
         cfg = replace(cfg, gamma=value)
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
     axis_value = float(value)
     return [
         _fit_and_eval("ts", splits.val, splits.test, cfg, binning, axis_value),
@@ -124,7 +93,7 @@ def _point_rows(axis, value, base, cfg, binning) -> list[SweepRow]:
 
 
 def _nval_rows(
-    values, base: HeteroLogitSpec, cfg: FitConfig, binning: BinningConfig,
+    sizes: list[int], base: HeteroLogitSpec, cfg: FitConfig, binning: BinningConfig,
     trials: int, test_records: int,
 ) -> list[SweepRow]:
     """Trial-averaged rows per validation size.
@@ -135,16 +104,6 @@ def _nval_rows(
     independent draw per trial.
     """
     k = base.num_classes
-    if trials < 1:
-        raise ConfigError(f"the n_val axis needs at least 1 trial, got {trials}")
-    if test_records < k:
-        raise ConfigError(f"the n_val axis needs test_records >= num_classes {k}, got {test_records}")
-    bad = [v for v in values if float(v) % k != 0]
-    if bad:
-        raise ConfigError(f"validation sizes must be multiples of num_classes {k}, got {bad}")
-    sizes = sorted(int(v) for v in values)
-    if sizes[0] < k:
-        raise ConfigError(f"validation sizes must be >= num_classes, got {sizes[0]}")
     pool_per_class = math.ceil(sizes[-1] / k)
     test_per_class = test_records // k
 
@@ -169,7 +128,7 @@ def _nval_rows(
 
     # Every trial yields its rows in the same (size, method) order, so
     # zipping the trials groups each point's rows in trial order.
-    per_trial = _map_points(trial_rows, list(range(trials)))
+    per_trial = [trial_rows(t) for t in range(trials)]
     return [
         replace(group[0], **{name: float(np.mean([getattr(r, name) for r in group])) for name in _METRICS})
         for group in zip(*per_trial)
@@ -193,16 +152,23 @@ def run_sweep(
     n_val: validation-set size, a multiple of K, averaged over `trials`
     (at least 1) seeded trials, each scored on `test_records` (at least K)
     test records.
+    Every value, `trials` and `test_records` are checked before any point runs.
     """
-    if axis not in SWEEP_AXES:
+    if not (isinstance(axis, str) and axis in SWEEP_AXES):
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = list(values)
+    k = base.num_classes
+    trials = check_int("trials", trials, ge=1)
+    test_records = check_int("test_records", test_records, ge=k)
+    bounds = {"noise": {"ge": 0, "lt": 1}, "size": {"gt": 0, "le": 1}, "gamma": {"ge": 0, "le": math.inf}}
+    values = check_array("values", values, axis == "n_val", **bounds.get(axis, {"ge": k})).tolist()
     if not values:
         raise ConfigError("need at least one sweep value")
 
     if axis == "n_val":
-        rows = _nval_rows(values, base, cfg, binning, trials, test_records)
+        bad = [v for v in values if v % k]
+        if bad:
+            raise ConfigError(f"validation sizes must be multiples of num_classes {k}, got {bad}")
+        rows = _nval_rows(sorted(values), base, cfg, binning, trials, test_records)
     else:
-        chunks = _map_points(lambda v: _point_rows(axis, v, base, cfg, binning), values)
-        rows = [row for chunk in chunks for row in chunk]
+        rows = [row for v in values for row in _point_rows(axis, v, base, cfg, binning)]
     return sorted(rows, key=lambda r: (r.axis_value, r.method))

@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LogitDataset
-from .errors import ConfigError, DegenerateNoiseError, InvalidInputError
+from .errors import (
+    ConfigError,
+    DegenerateNoiseError,
+    InvalidInputError,
+    check_array,
+    check_int,
+    check_real,
+)
 from .optim import GradientProblem, projected_gd
 
 __all__ = [
@@ -70,39 +77,25 @@ class NoisyBinarySpec:
     direction: np.ndarray = None
 
     def __post_init__(self):
-        for name in ("p_plus", "p_minus", "p_test"):
-            p = getattr(self, name)
-            if not (0 <= p < 0.5):
-                raise ConfigError(f"{name} must lie in [0, 0.5), got {p}")
-        v = np.asarray(
-            self.direction if self.direction is not None else [1.0], dtype=np.float64
-        ).copy()
-        if v.ndim != 1 or v.size < 1:
-            raise ConfigError("direction must be a 1-D vector")
+        rates = {name: check_real(name, getattr(self, name), ge=0, lt=0.5)
+                 for name in ("p_plus", "p_minus", "p_test")}
+        v = check_array("direction", [1.0] if self.direction is None else self.direction)
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ConfigError("direction must have unit norm")
-        v.flags.writeable = False
-        object.__setattr__(self, "direction", v)
+        vars(self).update(rates, direction=v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryDataset:
-    """Feature vectors with binary labels in {0, 1}."""
+    """Finite feature vectors with binary labels in {0, 1}; compared and hashed by identity."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64).copy()
-        y = np.asarray(self.y, dtype=np.int64).copy()
-        if x.ndim != 2 or y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise InvalidInputError("need a 2-D feature matrix and matching 1-D labels")
-        if y.size and not np.all((y == 0) | (y == 1)):
-            raise InvalidInputError("binary labels must be 0 or 1")
-        x.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        x = check_array("x", self.x, ndim=2, error=InvalidInputError)
+        y = check_array("y", self.y, integer=True, length=x.shape[0], ge=0, le=1, error=InvalidInputError)
+        vars(self).update(x=x, y=y)
 
     @property
     def num_records(self) -> int:
@@ -117,12 +110,10 @@ class LinearBinaryClassifier:
     intercept: float
 
     def __post_init__(self):
-        w = np.asarray(self.weight, dtype=np.float64).copy()
-        if w.ndim != 1 or not np.all(np.isfinite(w)) or not np.isfinite(self.intercept):
-            raise InvalidInputError("weight and intercept must be finite")
-        w.flags.writeable = False
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "intercept", float(self.intercept))
+        vars(self).update(
+            weight=check_array("weight", self.weight, error=InvalidInputError),
+            intercept=check_real("intercept", self.intercept, error=InvalidInputError),
+        )
 
     def logit(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) @ self.weight + self.intercept
@@ -139,9 +130,8 @@ class LinearBinaryClassifier:
 
 def sample_dnoisy(spec: NoisyBinarySpec, n: int, seed: int) -> BinaryDataset:
     """Draw n records: X = v or -v with probability 1/2 each, labels flipped per atom."""
-    if n < 1:
-        raise ConfigError(f"need n >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    n = check_int("n", n, ge=1)
+    rng = np.random.default_rng(check_int("seed", seed, ge=0))
     plus = rng.random(n) < 0.5
     u = rng.random(n)
     y = np.where(plus, u >= spec.p_plus, u < spec.p_minus).astype(np.int64)
@@ -159,12 +149,11 @@ def optimal_noisy_classifier(
     intercept (alpha-beta)/2, which outputs exactly 1 - p_plus on v and
     p_minus on -v. Zero noise rates are rejected: they need infinite logits.
     """
-    for name, p in (("p_plus", p_plus), ("p_minus", p_minus)):
-        if not (0 < p < 0.5):
-            raise DegenerateNoiseError(f"{name} must lie strictly in (0, 0.5), got {p}")
+    p_plus = check_real("p_plus", p_plus, gt=0, lt=0.5, error=DegenerateNoiseError)
+    p_minus = check_real("p_minus", p_minus, gt=0, lt=0.5, error=DegenerateNoiseError)
     alpha = math.log((1 - p_plus) / p_plus)
     beta = math.log((1 - p_minus) / p_minus)
-    v = np.asarray([1.0] if direction is None else direction, dtype=np.float64)
+    v = check_array("direction", [1.0] if direction is None else direction)
     return LinearBinaryClassifier(weight=0.5 * (alpha + beta) * v, intercept=0.5 * (alpha - beta))
 
 
@@ -201,8 +190,7 @@ def fit_constrained_logistic(dataset: BinaryDataset, radius: float) -> LinearBin
     keeps refining the intercept even when separable data drives the loss
     exponentially close to zero.
     """
-    if radius <= 0:
-        raise ConfigError(f"radius must be positive, got {radius}")
+    radius = check_real("radius", radius, gt=0)
     n, d = dataset.x.shape
     atoms, counts = np.unique(np.column_stack([dataset.x, dataset.y]), axis=0, return_counts=True)
     x, ys = atoms[:, :d], 2.0 * atoms[:, d] - 1.0
@@ -256,10 +244,9 @@ class RareAtomSpec:
     epsilon: float
 
     def __post_init__(self):
-        if self.n < 10:
-            raise ConfigError(f"need n >= 10, got {self.n}")
-        if not (0 < self.epsilon < 0.5):
-            raise ConfigError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
+        vars(self).update(
+            n=check_int("n", self.n, ge=10), epsilon=check_real("epsilon", self.epsilon, gt=0, lt=0.5)
+        )
 
     @property
     def rare_denominator(self) -> int:
@@ -317,13 +304,13 @@ def rare_atom_experiment(n: int, epsilon: float, trials: int, seed: int) -> list
     flag records whether at least a third of the sample sat on each of the
     +/- v atoms.
     """
-    if trials < 1:
-        raise ConfigError(f"need at least 1 trial, got {trials}")
+    trials = check_int("trials", trials, ge=1)
+    seed = check_int("seed", seed, ge=0)
     spec = RareAtomSpec(n=n, epsilon=epsilon)
     records = []
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
-        for scenario, count in (("s1", n), ("s2", LARGE_FACTOR * n)):
+        for scenario, count in (("s1", spec.n), ("s2", LARGE_FACTOR * spec.n)):
             idx = rng.choice(3, size=count, p=spec.atom_probs)
             data = BinaryDataset(x=spec.atoms[idx], y=spec.atom_labels[idx])
             clf = fit_constrained_logistic(data, spec.radius)
@@ -365,36 +352,18 @@ class HeteroLogitSpec:
     seed: int
 
     def __post_init__(self):
-        k = self.num_classes
-        if k < 2:
-            raise ConfigError("need at least 2 classes")
-        sizes = np.asarray(self.class_sizes)
-        if sizes.dtype.kind not in "iu":
-            # A cast to int64 would truncate a fraction and turn NaN, inf or
-            # anything past 2**63 into garbage with only a RuntimeWarning.
-            x = sizes.astype(np.float64)
-            whole = np.isfinite(x) & (np.floor(x) == x) & (np.abs(x) < 2.0**63)
-            if not np.all(whole):
-                bad = float(x[~whole][0])
-                raise ConfigError(f"class sizes must be whole numbers below 2**63, got {bad!r}")
-        sizes = sizes.astype(np.int64)
-        scales = np.asarray(self.scales, dtype=np.float64).copy()
-        rates = np.asarray(self.noise_rates, dtype=np.float64).copy()
-        for name, arr in (("class_sizes", sizes), ("scales", scales), ("noise_rates", rates)):
-            if arr.shape != (k,):
-                raise ConfigError(f"{name} must have length {k}")
-        if np.any(sizes < 0) or sizes.sum() <= 0:
-            raise ConfigError("class sizes must be nonnegative with a positive total")
-        valid = np.isfinite(scales) & (scales > 0)
-        if not np.all(valid):
-            raise ConfigError(f"scales must be positive and finite, got {float(scales[~valid][0])!r}")
-        if not np.all((rates >= 0) & (rates < 1)):
-            raise ConfigError("noise rates must lie in [0, 1)")
-        if not (0 < self.margin < math.inf):
-            raise ConfigError(f"margin must be positive and finite, got {self.margin}")
-        for name, arr in (("class_sizes", sizes), ("scales", scales), ("noise_rates", rates)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        k = check_int("num_classes", self.num_classes, ge=2)
+        sizes = check_array("class_sizes", self.class_sizes, integer=True, length=k, ge=0)
+        if not sizes.any():
+            raise ConfigError(f"class_sizes must have a positive total, got {sizes.tolist()}")
+        vars(self).update(
+            num_classes=k,
+            class_sizes=sizes,
+            scales=check_array("scales", self.scales, length=k, gt=0),
+            noise_rates=check_array("noise_rates", self.noise_rates, length=k, ge=0, lt=1),
+            margin=check_real("margin", self.margin, gt=0),
+            seed=check_int("seed", self.seed, ge=0),
+        )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from calibkit.errors import (
     InvalidModelError,
 )
 from calibkit.optim import nll_grad_vector
-from calibkit.synthetic import HeteroLogitSpec, gen_hetero_logits
+from calibkit.synthetic import BinaryDataset, HeteroLogitSpec, gen_hetero_logits
 
 # softmax([1, 2, 3]) evaluated at 50 decimal digits, rounded to float64.
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
@@ -179,6 +179,16 @@ class TestLogitDataset:
         ds = LogitDataset(np.zeros((2, 2)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):
             ds.logits[0, 0] = 1.0
+
+    def test_equal_valued_datasets_compare_and_hash_by_identity(self):
+        a = LogitDataset(np.zeros((2, 2)), [0, 1])
+        b = LogitDataset(np.zeros((2, 2)), [0, 1])
+        assert (a == b) is False and a == a
+        assert {a: "a", b: "b"}[a] == "a"
+        pa, pb = predict(a, Identity()), predict(b, Identity())
+        assert (pa == pb) is False and {pa: 1, pb: 2}[pb] == 2
+        xa, xb = BinaryDataset(np.ones((2, 1)), [0, 1]), BinaryDataset(np.ones((2, 1)), [0, 1])
+        assert (xa == xb) is False and {xa: 1, xb: 2}[xa] == 1
 
     def test_empty_dataset_allowed(self):
         ds = LogitDataset(np.zeros((0, 4)), np.zeros(0, dtype=int))
