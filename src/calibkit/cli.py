@@ -4,8 +4,8 @@ Four subcommands: ``calibrate`` fits a method on a validation logit file and
 evaluates it on a test file, ``reliability`` exports reliability-diagram rows,
 ``synth`` writes synthetic datasets (or a trial table), and ``sweep`` emits
 long-format metric curves. Reports store fractions; ``--percent`` only changes
-the printed summary. Exit codes: 0 ok, 2 file/format/spec errors, 3 class
-count mismatch, 4 optimization failure.
+the printed summary. Exit codes: 0 ok, 2 file/format/spec errors (and counts
+too large to allocate), 3 class count mismatch, 4 optimization failure.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ def _fmt(value: float, percent: bool) -> str:
 
 
 def _fit_config(args) -> cal.FitConfig:
+    # FitConfig checks this rule too, under the field's name.
+    check_real("--alpha-hi", args.alpha_hi, gt=args.alpha_lo)
     return cal.FitConfig(
         alpha_lo=args.alpha_lo,
         alpha_hi=args.alpha_hi,
@@ -285,6 +287,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # run_sweep checks this rule too, under the parameter's name.
+    check_int("--test-records", args.test_records, ge=args.classes)
     rows = run_sweep(
         axis=args.axis,
         values=args.values,
@@ -387,7 +391,7 @@ def main(argv=None) -> int:
     except OptimizationError as exc:
         print(f"error: optimization failed: {exc}", file=sys.stderr)
         return 4
-    except (CalibkitError, OSError) as exc:
+    except (CalibkitError, OSError, MemoryError) as exc:  # MemoryError: a count too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,16 +8,15 @@ parses about 64 KB of lines at a time: it joins a block's non-blank lines,
 splits them into tokens once, converts them with the same float() and int()
 a line-by-line parse uses, and checks column counts, finiteness and labels on
 whole arrays. A block that fails any check is parsed again line by line, so a
-parse failure names the 1-based number of the first bad line. Result tables
-(reliability rows, sweep curves, the Theorem 1 trials) carry floats at 9
-significant digits.
+parse failure names the 1-based number of the first bad line, a line that is
+not UTF-8 included. Result tables (reliability rows, sweep curves, the
+Theorem 1 trials) carry floats at 9 significant digits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from itertools import repeat
 
 import numpy as np
@@ -47,28 +46,14 @@ def read_logit_csv(path: str) -> LogitDataset:
 
     The header fixes K. Data lines are parsed a block at a time; a block that
     fails any check is parsed again line by line, which raises for its first
-    bad line.
+    bad line. The file is read once: an undecodable byte reads as a lone
+    surrogate, which float() and int() reject, so its block goes to the line
+    loop, and that names the line.
     """
-    try:
-        return _read_with(path, _parse_blocks)
-    except UnicodeDecodeError:
-        pass
-    try:
-        # Decoding runs in 8 KB chunks, so a block can fail to decode before
-        # its earlier lines are checked. The line loop over the whole file meets
-        # the errors in the order a line-by-line read does.
-        return _read_with(path, _parse_lines)
-    except UnicodeDecodeError as exc:
-        # The bad byte's line comes from a second read that escapes
-        # undecodable bytes as lone surrogates.
-        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            line = next((n for n, text in enumerate(fh, start=1) if re.search("[\udc80-\udcff]", text)), None)
-        raise FileFormatError(f"not UTF-8: {exc.reason}", line=line) from None
-
-
-def _read_with(path: str, parse) -> LogitDataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        header = fh.readline()
+        _check_utf8(header, 1)
+        header = header.rstrip("\r\n")
         if not header:
             raise FileFormatError("empty file, expected a header row", line=1)
         columns = header.split(",")
@@ -77,23 +62,30 @@ def _read_with(path: str, parse) -> LogitDataset:
             raise FileFormatError("bad header, expected logit_0,...,logit_{K-1},label", line=1)
         if k < 2:
             raise FileFormatError("logit files need at least 2 classes", line=1)
-        logits, labels = parse(fh, k)
-    # `parse` built both arrays for this dataset and checked every record.
-    return LogitDataset._adopt(logits, labels)
+        logit_parts = [np.empty((0, k))]
+        label_parts = [np.empty(0, dtype=np.int64)]
+        lineno = 2
+        while block := fh.readlines(_BLOCK_BYTES):
+            parsed = _parse_block(block, k)
+            if parsed is None:
+                parsed = _parse_lines(block, k, lineno)
+            logit_parts.append(parsed[0])
+            label_parts.append(parsed[1])
+            lineno += len(block)
+    # The blocks built both arrays for this dataset and checked every record.
+    return LogitDataset._adopt(np.concatenate(logit_parts), np.concatenate(label_parts))
 
 
-def _parse_blocks(fh, k: int) -> tuple[np.ndarray, np.ndarray]:
-    logit_parts = [np.empty((0, k))]
-    label_parts = [np.empty(0, dtype=np.int64)]
-    lineno = 2
-    while block := fh.readlines(_BLOCK_BYTES):
-        parsed = _parse_block(block, k)
-        if parsed is None:
-            parsed = _parse_lines(block, k, lineno)
-        logit_parts.append(parsed[0])
-        label_parts.append(parsed[1])
-        lineno += len(block)
-    return np.concatenate(logit_parts), np.concatenate(label_parts)
+def _check_utf8(line: str, lineno: int) -> None:
+    """Raise for a line that holds an undecodable byte, with strict decoding's reason.
+
+    The line is decoded with its line ending, so a sequence cut short at the
+    end of the line gets the reason a strict read of the whole file gives.
+    """
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not UTF-8: {exc.reason}", line=lineno) from None
 
 
 def _parse_block(lines: list[str], k: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -120,11 +112,12 @@ def _parse_block(lines: list[str], k: int) -> tuple[np.ndarray, np.ndarray] | No
     return logits, labels
 
 
-def _parse_lines(lines, k: int, first: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def _parse_lines(lines: list[str], k: int, first: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse and check one line at a time, numbering from `first`; raise for the first bad line."""
     values = []
     labels = []
     for lineno, line in enumerate(lines, start=first):
+        _check_utf8(line, lineno)
         line = line.rstrip("\r\n")
         if not line:
             continue

@@ -150,8 +150,8 @@ def run_sweep(
     size: sampling fraction of the first half of the classes.
     gamma: CTS radius on a fixed dataset (TS rows are gamma-independent).
     n_val: validation-set size, a multiple of K, averaged over `trials`
-    (at least 1) seeded trials, each scored on `test_records` (at least K)
-    test records.
+    (at least 1) seeded trials, each scored on K * (`test_records` // K)
+    test records (`test_records` is at least K).
     Every value, `trials` and `test_records` are checked before any point runs.
     """
     if not (isinstance(axis, str) and axis in SWEEP_AXES):

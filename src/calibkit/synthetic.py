@@ -62,6 +62,14 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _unit_direction(direction) -> np.ndarray:
+    """The atom direction v, [1.0] by default: entries in [-1, 1] and unit norm within 1e-12."""
+    v = check_array("direction", [1.0] if direction is None else direction, ge=-1, le=1)
+    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        raise ConfigError("direction must have unit norm")
+    return v
+
+
 @dataclass(frozen=True)
 class NoisyBinarySpec:
     """Two-atom binary distribution over {v, -v} with label-flip rates below 1/2.
@@ -79,10 +87,7 @@ class NoisyBinarySpec:
     def __post_init__(self):
         rates = {name: check_real(name, getattr(self, name), ge=0, lt=0.5)
                  for name in ("p_plus", "p_minus", "p_test")}
-        v = check_array("direction", [1.0] if self.direction is None else self.direction)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ConfigError("direction must have unit norm")
-        vars(self).update(rates, direction=v)
+        vars(self).update(rates, direction=_unit_direction(self.direction))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,12 +126,6 @@ class LinearBinaryClassifier:
     def prob(self, x: np.ndarray) -> np.ndarray:
         return _sigmoid(self.logit(x))
 
-    def decide(self, x: np.ndarray) -> np.ndarray:
-        return (self.logit(x) >= 0).astype(np.int64)
-
-    def accuracy(self, dataset: BinaryDataset) -> float:
-        return float(np.mean(self.decide(dataset.x) == dataset.y))
-
 
 def sample_dnoisy(spec: NoisyBinarySpec, n: int, seed: int) -> BinaryDataset:
     """Draw n records: X = v or -v with probability 1/2 each, labels flipped per atom."""
@@ -153,7 +152,7 @@ def optimal_noisy_classifier(
     p_minus = check_real("p_minus", p_minus, gt=0, lt=0.5, error=DegenerateNoiseError)
     alpha = math.log((1 - p_plus) / p_plus)
     beta = math.log((1 - p_minus) / p_minus)
-    v = check_array("direction", [1.0] if direction is None else direction)
+    v = _unit_direction(direction)
     return LinearBinaryClassifier(weight=0.5 * (alpha + beta) * v, intercept=0.5 * (alpha - beta))
 
 

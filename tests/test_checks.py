@@ -192,6 +192,13 @@ PROBES = [
      "num_bins must be an integer in [1, 9007199254740992], got 1180591620717411303424"),
     ("optimal_noisy_classifier", {"p_plus": 0.0}, DegenerateNoiseError,
      "p_plus must be a real number in (0, 0.5), got 0.0"),
+    ("NoisyBinarySpec", {"direction": [1.34078079e+154]}, ConfigError,
+     "direction must be real numbers in [-1, 1], got 1.34078079e+154"),
+    ("optimal_noisy_classifier", {"direction": [1.00331164e+308]}, ConfigError,
+     "direction must be real numbers in [-1, 1], got 1.00331164e+308"),
+    ("optimal_noisy_classifier", {"direction": [3.0]}, ConfigError,
+     "direction must be real numbers in [-1, 1], got 3.0"),
+    ("optimal_noisy_classifier", {"direction": [0.6, 0.6]}, ConfigError, "direction must have unit norm"),
 ]
 
 

@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import math
-import re
 import tracemalloc
 from unittest import mock
 
@@ -53,47 +52,50 @@ LOGIT_TOKENS = st.sampled_from([" 1.5", "1_0", "+3", "\u0663", "-0.0", "5e-324",
 BAD_LOGIT_TOKENS = st.sampled_from(["1.5\x1c", "nan", "-inf", "1e999", "", "x"])
 LABEL_TOKENS = st.sampled_from(["0", "1", "+1", " 1", "0_1", "\u0661"])
 BAD_LABEL_TOKENS = st.sampled_from(["3.0", "-1", "9", "99999999999999999999", "", "1.5\x1c", "\u0663"])
+# Stand-ins for bytes that are not UTF-8, swapped in after encoding: a lone
+# continuation byte, a byte no UTF-8 text holds, and a 3-byte sequence cut short.
+UNDECODABLE = {"\ue000": b"\x80", "\ue001": b"\xff", "\ue002": b"\xe2\x82"}
 
 
 def reference_read_logit_csv(path: str) -> LogitDataset:
-    """The one-pass line-by-line reader that `read_logit_csv` replaced, as it was."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = fh.readline().rstrip("\r\n")
-            if not header:
+    """A line-by-line reader that decodes each line's bytes on its own, so it names the first bad line."""
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines(keepends=True) or [b""]  # splits at \r\n, \r and \n only
+    values = []
+    labels = []
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8").rstrip("\r\n")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"not UTF-8: {exc.reason}", line=lineno) from None
+        if lineno == 1:
+            if not line:
                 raise FileFormatError("empty file, expected a header row", line=1)
-            columns = header.split(",")
+            columns = line.split(",")
             k = len(columns) - 1
             if k < 1 or columns != [f"logit_{i}" for i in range(k)] + ["label"]:
                 raise FileFormatError("bad header, expected logit_0,...,logit_{K-1},label", line=1)
             if k < 2:
                 raise FileFormatError("logit files need at least 2 classes", line=1)
-            values = []
-            labels = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\r\n")
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != k + 1:
-                    raise FileFormatError(f"expected {k + 1} columns, found {len(parts)}", line=lineno)
-                try:
-                    row = [float(p) for p in parts[:k]]
-                    label = int(parts[k])
-                except ValueError as exc:
-                    raise FileFormatError(str(exc), line=lineno) from None
-                if not all(math.isfinite(v) for v in row):
-                    raise FileFormatError("non-finite value", line=lineno)
-                if label < 0:
-                    raise FileFormatError(f"negative label {label}", line=lineno)
-                if label >= k:
-                    raise FileFormatError(f"label {label} out of range [0, {k})", line=lineno)
-                values.append(row)
-                labels.append(label)
-    except UnicodeDecodeError as exc:
-        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            line = next((n for n, text in enumerate(fh, start=1) if re.search("[\udc80-\udcff]", text)), None)
-        raise FileFormatError(f"not UTF-8: {exc.reason}", line=line) from None
+            continue
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != k + 1:
+            raise FileFormatError(f"expected {k + 1} columns, found {len(parts)}", line=lineno)
+        try:
+            row = [float(p) for p in parts[:k]]
+            label = int(parts[k])
+        except ValueError as exc:
+            raise FileFormatError(str(exc), line=lineno) from None
+        if not all(math.isfinite(v) for v in row):
+            raise FileFormatError("non-finite value", line=lineno)
+        if label < 0:
+            raise FileFormatError(f"negative label {label}", line=lineno)
+        if label >= k:
+            raise FileFormatError(f"label {label} out of range [0, {k})", line=lineno)
+        values.append(row)
+        labels.append(label)
     logits = np.asarray(values, dtype=np.float64).reshape(len(values), k)
     return LogitDataset(logits=logits, labels=np.asarray(labels, dtype=np.int64))
 
@@ -242,15 +244,19 @@ class TestLogitCsv:
         bad_lines = 0 if data.draw(st.booleans(), label="clean") else data.draw(st.integers(1, 3))
         for _ in range(bad_lines):
             row = data.draw(record).split(",")
-            kind = data.draw(st.sampled_from(["logit", "label", "columns", "spaces"]))
+            kind = data.draw(st.sampled_from(["logit", "label", "columns", "spaces", "bytes"]))
             if kind == "logit":
                 row[data.draw(st.integers(0, k - 1))] = data.draw(BAD_LOGIT_TOKENS)
             elif kind == "label":
                 row[k] = data.draw(BAD_LABEL_TOKENS)
             elif kind == "columns":
                 row = (row + ["0"] * 3)[: data.draw(st.integers(1, k + 3).filter(lambda w: w != k + 1))]
-            else:
+            elif kind == "spaces":
                 row = [data.draw(st.sampled_from([" ", "\t", "  "]))]
+            else:  # mid-line or just before the line ending (or the end of the file)
+                line = ",".join(row)
+                at = data.draw(st.integers(0, len(line)) | st.just(len(line)))
+                row = [line[:at] + data.draw(st.sampled_from(sorted(UNDECODABLE))) + line[at:]]
             lines.insert(data.draw(st.integers(0, len(lines))), ",".join(row))
         ends = data.draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]), label="ends")
         header = ",".join([f"logit_{i}" for i in range(k)] + ["label"])
@@ -258,8 +264,13 @@ class TestLogitCsv:
             line + (data.draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends)
             for line in [header] + lines
         )
+        if not data.draw(st.booleans(), label="final newline"):
+            text = text.rstrip("\r\n")
+        raw = text.encode()
+        for stand_in, bad in UNDECODABLE.items():
+            raw = raw.replace(stand_in.encode(), bad)
         path = tmp_path_factory.mktemp("blocks") / "d.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(raw)
         block = data.draw(st.integers(100, 400), label="block")  # several blocks per file
         with mock.patch.object(kio, "_BLOCK_BYTES", block):
             got = read_outcome(read_logit_csv, str(path))
@@ -314,6 +325,44 @@ class TestLogitCsv:
             read_logit_csv(str(path))
         assert err.value.line == 5
         assert read_outcome(reference_read_logit_csv, str(path)) == str(err.value)
+
+    def test_bad_token_before_an_undecodable_byte_in_the_same_8_kb_is_reported(self, tmp_path):
+        rows = [f"{i}.5,-{i}.25,{i % 2}" for i in range(200)]
+        rows[3] = "1.0,oops,0"
+        rows[50] = "1.0,@,0"
+        path = tmp_path / "bad.csv"
+        path.write_bytes("\n".join(["logit_0,logit_1,label"] + rows).encode().replace(b"@", b"\xff") + b"\n")
+        assert path.stat().st_size < 8192
+        with pytest.raises(FileFormatError) as err:
+            read_logit_csv(str(path))
+        assert str(err.value) == "line 5: could not convert string to float: 'oops'"
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("fault", ["none", "token", "header", "first block", "last line"])
+    def test_each_read_opens_the_file_once(self, tmp_path, monkeypatch, newline, fault):
+        header = b"logit_0,logit_1,label"
+        rows = [f"{i}.5,-{i}.25,{i % 2}".encode() for i in range(8000)]  # two blocks
+        if fault == "token":
+            rows[6000] = b"1.0,oops,0"
+        elif fault == "header":
+            header = b"logit_0,logit\xff_1,label"
+        elif fault == "first block":
+            rows[10] = b"1.0,\xff,0"
+        elif fault == "last line":
+            rows[-1] = b"1.0,\xe2\x82,0"
+        path = tmp_path / "d.csv"
+        path.write_bytes(newline.join([header] + rows) + newline)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(kio, "open", counting_open, raising=False)
+        got = read_outcome(read_logit_csv, str(path))
+        assert opened == [str(path)]
+        assert got == read_outcome(reference_read_logit_csv, str(path))
+        assert isinstance(got, tuple) == (fault == "none")
 
     def test_rows_whose_column_counts_cancel_are_rejected(self, tmp_path):
         # Joined, the two rows split into two records' worth of integer tokens.
@@ -496,7 +545,7 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--alpha-lo", "1", "--alpha-hi", "1"], "alpha_hi must be a real number in (1.0, inf), got 1.0"),
+            (["--alpha-lo", "1", "--alpha-hi", "1"], "--alpha-hi must be a real number in (1.0, inf), got 1.0"),
             (["--alpha-hi", "inf"], "--alpha-hi must be a real number in (0, inf), got inf"),
             (["--alpha-lo", "nan"], "--alpha-lo must be a real number in (0, inf), got nan"),
             (["--bins", "0"], "--bins must be an integer in [1, 9007199254740992], got 0"),
@@ -564,6 +613,14 @@ class TestReliabilityCommand:
                               "--out", str(tmp_path / "rel.csv")])
         assert (code, err) == (2, "error: --bins must be an integer in [1, 9007199254740992], got 0\n")
         assert not list(tmp_path.iterdir())
+
+    def test_bins_too_many_to_allocate_exit_2(self, tmp_path):
+        val, _ = wellspec_files(tmp_path, np.random.default_rng(71), n=20)
+        out = tmp_path / "rel.csv"
+        # The bin counts would take 64 PiB, past any address space, so the allocation fails at once.
+        code, err = run_main(["reliability", "--file", val, "--bins", "9007199254740992", "--out", str(out)])
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_row_count_equals_bins(self, tmp_path):
         rng = np.random.default_rng(66)
@@ -712,6 +769,13 @@ class TestSynthCommand:
         assert capsys.readouterr().err == "error: --noise must be real numbers in [0, 1), got nan\n"
         assert not (tmp_path / "h.json").exists()
 
+    def test_sizes_too_large_to_allocate_exit_2(self, tmp_path):
+        # Each split would take about 64 PiB, past any address space, so the allocation fails at once.
+        code, err = run_main(["synth", "--kind", "hetero", "--seed", "1", "--classes", "3",
+                              "--sizes", "1000000000000000", "--out", str(tmp_path / "big.csv")])
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_theorem1_needs_a_trial(self, tmp_path, trials):
         code, err = run_main(["synth", "--kind", "theorem1", "--n", "10", "--trials", trials,
@@ -851,6 +915,12 @@ class TestSweep:
                      "--classes", "4", "--trials", "1", "--test-records", str(test_records),
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_too_few_test_records_names_the_flag(self, tmp_path):
+        code, err = run_main(["sweep", "--axis", "noise", "--values", "0", "--seed", "1", "--classes", "3",
+                              "--test-records", "2", "--out", str(tmp_path / "s.csv")])
+        assert (code, err) == (2, "error: --test-records must be an integer in [3, inf), got 2\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("trials", [0, -2])
     def test_nval_axis_needs_a_trial(self, tmp_path, trials):
