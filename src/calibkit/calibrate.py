@@ -250,9 +250,7 @@ def model_from_dict(doc: dict) -> tuple[CalibrationModel, int]:
     """
     try:
         method = doc["method"]
-        num_classes = doc["num_classes"]
-        if type(num_classes) is not int:
-            raise InvalidModelError(f"num_classes must be an integer, got {num_classes!r}")
+        num_classes = check_int("num_classes", doc["num_classes"], ge=2, error=InvalidModelError)
         if method == "none":
             return Identity(), num_classes
         if method == "ts":

@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     check_real,
 )
 from .metrics import DEFAULT_NUM_BINS, MAX_BINS, BinningConfig, bin_stats, compute_report, reliability_rows
-from .sweep import SWEEP_AXES, run_sweep
+from .sweep import SWEEP_AXES, SweepRow, run_sweep
 from .synthetic import (
     HeteroLogitSpec,
     NoisyBinarySpec,
@@ -145,22 +146,12 @@ def cmd_calibrate(args) -> int:
             f"validation has {val.num_classes} classes, test has {test.num_classes}"
         )
 
-    warnings: list[str] = []
-    fallbacks: list[int] = []
-    if args.method == "none":
-        model = Identity()
-    elif args.method == "ts":
-        fit = cal.fit_ts(val, cfg)
-    elif args.method == "cts":
-        fit = cal.fit_cts(val, cfg)
-    else:
-        fit = cal.fit_vs(val, cfg)
+    model, warnings = Identity(), []
     if args.method != "none":
-        model = fit.model
-        warnings = list(fit.warnings)
-        fallbacks = list(fit.fallback_classes)
-        if fallbacks:
-            warnings.append(f"classes {fallbacks} fell back to the shared temperature")
+        fit = getattr(cal, f"fit_{args.method}")(val, cfg)
+        model, warnings = fit.model, list(fit.warnings)
+        if fit.fallback_classes:
+            warnings.append(f"classes {fit.fallback_classes} fell back to the shared temperature")
 
     report_before = compute_report(test, Identity(), binning)
     report_after = report_before if args.method == "none" else compute_report(test, model, binning)
@@ -298,7 +289,7 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         test_records=args.test_records,
     )
-    columns = ("axis_value", "method", "ece", "max_ece", "avg_ece", "nll", "accuracy", "val_nll", "nll_gap")
+    columns = [f.name for f in fields(SweepRow)]
     kio.write_table_csv([[getattr(r, c) for c in columns] for r in rows], columns, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

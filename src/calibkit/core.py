@@ -205,17 +205,12 @@ class PredictionSet:
         return value
 
 
+@dataclass(frozen=True)
 class Identity:
     """No calibration: probabilities are the softmax of the raw logits."""
 
     def row_scale(self, top_class: np.ndarray) -> float:
         return 1.0
-
-    def __eq__(self, other):
-        return isinstance(other, Identity)
-
-    def __repr__(self):
-        return "Identity()"
 
 
 @dataclass(frozen=True)
@@ -287,9 +282,6 @@ class Vector:
     def num_classes(self) -> int:
         return self.scale.shape[0]
 
-    def scaled_logits(self, logits: np.ndarray) -> np.ndarray:
-        return self.scale * np.asarray(logits, dtype=np.float64) + self.bias
-
 
 CalibrationModel = Identity | Temperature | ClassWiseTemperature | Vector
 
@@ -326,7 +318,7 @@ def predict(dataset: LogitDataset, model: CalibrationModel) -> PredictionSet:
     check_model_classes(model, dataset.num_classes)
     if isinstance(model, Vector):
         top_class = None
-        u = model.scaled_logits(dataset.logits)
+        u = model.scale * dataset.logits + model.bias
     else:
         top_class, top_logit = dataset.top
         scale = model.row_scale(top_class)

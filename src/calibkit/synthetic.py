@@ -175,14 +175,16 @@ def population_confidence_accuracy(
     return conf_plus, conf_minus, 0.5 * acc_plus + 0.5 * acc_minus
 
 
-def fit_constrained_logistic(dataset: BinaryDataset, radius: float) -> LinearBinaryClassifier:
+def fit_constrained_logistic(atoms: BinaryDataset, counts, radius: float) -> LinearBinaryClassifier:
     """Minimize empirical binary NLL over ||weight|| <= radius with a free intercept.
 
-    The fit runs on the distinct (x, y) records, each weighted by its count
-    in the sample: the same objective as the mean over every record, up to
+    The sample is given by its histogram: `counts[i]` is how often record i
+    of `atoms` occurs in it. The loss is the count-weighted mean over the
+    records, the same objective as the mean over every sampled row up to
     summation order, at the cost of the distinct records alone (two or three
-    on the paper's atom distributions). They are taken in sorted order, so
-    the order of the sample's records does not change the result.
+    on the paper's atom distributions). Records with count 0 are left out,
+    and the rest are summed in the order given. `counts` must be non-negative
+    integers with a positive total.
     Projected gradient descent from (0, 0); the projection radially rescales
     the weight onto the ball and never touches the intercept. The stopping
     rule is relative (improvement below `LOGISTIC_TOL` * |loss|) so the fit
@@ -190,9 +192,12 @@ def fit_constrained_logistic(dataset: BinaryDataset, radius: float) -> LinearBin
     exponentially close to zero.
     """
     radius = check_real("radius", radius, gt=0)
-    n, d = dataset.x.shape
-    atoms, counts = np.unique(np.column_stack([dataset.x, dataset.y]), axis=0, return_counts=True)
-    x, ys = atoms[:, :d], 2.0 * atoms[:, d] - 1.0
+    counts = check_array("counts", counts, integer=True, length=atoms.num_records, ge=0)
+    if not counts.any():
+        raise ConfigError(f"counts must have a positive total, got {counts.tolist()}")
+    keep = counts > 0
+    x, ys, counts = atoms.x[keep], 2.0 * atoms.y[keep] - 1.0, counts[keep]
+    n, d = counts.sum(dtype=np.float64), x.shape[1]
 
     def objective(p: np.ndarray) -> float:
         z = x @ p[:d] + p[d]
@@ -298,36 +303,28 @@ def rare_atom_experiment(n: int, epsilon: float, trials: int, seed: int) -> list
     """Fit small (n) and large (`LARGE_FACTOR` * n) samples per trial and evaluate exactly.
 
     Each trial t uses the derived seed `seed + t` and draws the small sample
-    first, then the large one, from the same stream. Confidence and accuracy
-    are closed-form over the three atoms, never Monte-Carlo. The `balanced`
-    flag records whether at least a third of the sample sat on each of the
-    +/- v atoms.
+    first, then the large one, from the same stream. Each sample is fit on
+    its atom counts. Confidence and accuracy are closed-form over the three
+    atoms, never Monte-Carlo. The `balanced` flag records whether at least a
+    third of the sample sat on each of the +/- v atoms.
     """
     trials = check_int("trials", trials, ge=1)
     seed = check_int("seed", seed, ge=0)
     spec = RareAtomSpec(n=n, epsilon=epsilon)
+    # The atoms in the order the fit sums them, (-v, v, w); the weights' last bits depend on it.
+    atoms = BinaryDataset(x=spec.atoms[[2, 0, 1]], y=spec.atom_labels[[2, 0, 1]])
     records = []
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         for scenario, count in (("s1", spec.n), ("s2", LARGE_FACTOR * spec.n)):
             idx = rng.choice(3, size=count, p=spec.atom_probs)
-            data = BinaryDataset(x=spec.atoms[idx], y=spec.atom_labels[idx])
-            clf = fit_constrained_logistic(data, spec.radius)
+            n_plus, n_rare, n_minus = np.bincount(idx, minlength=3).tolist()
+            clf = fit_constrained_logistic(atoms, [n_minus, n_plus, n_rare], spec.radius)
             min_conf, accuracy = _evaluate_on_atoms(clf, spec)
-            n_plus = int(np.sum(idx == 0))
-            n_minus = int(np.sum(idx == 2))
-            records.append(
-                RareAtomTrial(
-                    trial=t,
-                    scenario=scenario,
-                    rare_present=bool(np.any(idx == 1)),
-                    balanced=(n_plus >= count / 3) and (n_minus >= count / 3),
-                    min_confidence=min_conf,
-                    accuracy=accuracy,
-                    weight=clf.weight,
-                    intercept=clf.intercept,
-                )
-            )
+            balanced = n_plus >= count / 3 and n_minus >= count / 3
+            records.append(RareAtomTrial(trial=t, scenario=scenario, rare_present=n_rare > 0, balanced=balanced,
+                                         min_confidence=min_conf, accuracy=accuracy, weight=clf.weight,
+                                         intercept=clf.intercept))
     return records
 
 

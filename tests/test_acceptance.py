@@ -29,6 +29,7 @@ from calibkit.optim import (
 )
 from calibkit.sweep import run_sweep
 from calibkit.synthetic import (
+    BinaryDataset,
     HeteroLogitSpec,
     NoisyBinarySpec,
     fit_constrained_logistic,
@@ -88,7 +89,8 @@ def test_criterion_2_two_atom_sampled_fit():
     start = time.monotonic()
     spec = NoisyBinarySpec(0.3, 0.1, p_test=0.2, direction=[1.0, 0.0])
     train = sample_dnoisy(spec, 200_000, seed=2024)
-    clf = fit_constrained_logistic(train, radius=1000.0)
+    rows, counts = np.unique(np.column_stack([train.x, train.y]), axis=0, return_counts=True)
+    clf = fit_constrained_logistic(BinaryDataset(rows[:, :-1], rows[:, -1]), counts, radius=1000.0)
 
     conf_plus = float(clf.prob(spec.direction))
     conf_minus = 1.0 - float(clf.prob(-spec.direction))

@@ -89,7 +89,7 @@ ENTRY_POINTS = {
                                  "noise_rates": [0.0, 0.1, 0.0], "margin": 2.0, "seed": 1}),
     "sample_dnoisy": (sample_dnoisy, {"spec": NOISY, "n": 10, "seed": 1}),
     "optimal_noisy_classifier": (optimal_noisy_classifier, {"p_plus": 0.1, "p_minus": 0.2, "direction": [1.0]}),
-    "fit_constrained_logistic": (fit_constrained_logistic, {"dataset": BINARY, "radius": 5.0}),
+    "fit_constrained_logistic": (fit_constrained_logistic, {"atoms": BINARY, "counts": [1, 1], "radius": 5.0}),
     "rare_atom_experiment": (rare_atom_experiment, {"n": 10, "epsilon": 0.01, "trials": 1, "seed": 1}),
     "run_sweep": (run_sweep, {"axis": "noise", "values": [0.0, 0.2], "base": hetero(), "trials": 2,
                               "test_records": 30}),
@@ -103,7 +103,7 @@ WORK = [
     (sweep, "gen_hetero_logits"),
 ]
 CASES = [(name, param) for name, (_, kwargs) in ENTRY_POINTS.items() for param in kwargs
-         if not (name.startswith("run_sweep") and param == "base") and param not in ("spec", "dataset")]
+         if not (name.startswith("run_sweep") and param == "base") and param not in ("spec", "atoms")]
 
 ODD_SCALARS = st.one_of(
     st.booleans(),
@@ -199,6 +199,11 @@ PROBES = [
     ("optimal_noisy_classifier", {"direction": [3.0]}, ConfigError,
      "direction must be real numbers in [-1, 1], got 3.0"),
     ("optimal_noisy_classifier", {"direction": [0.6, 0.6]}, ConfigError, "direction must have unit norm"),
+    ("fit_constrained_logistic", {"counts": [1, 0.5]}, ConfigError, "counts must be integers in [0, inf), got 0.5"),
+    ("fit_constrained_logistic", {"counts": [1, -1]}, ConfigError, "counts must be integers in [0, inf), got -1"),
+    ("fit_constrained_logistic", {"counts": [1, 1, 1]}, ConfigError,
+     "counts must be a 1-D array of length 2, got shape (3,)"),
+    ("fit_constrained_logistic", {"counts": [0, 0]}, ConfigError, "counts must have a positive total, got [0, 0]"),
 ]
 
 

@@ -691,10 +691,10 @@ class TestReliabilityCommand:
         err = self._bad_model_exits_2(tmp_path, capsys, '{"method": "ts",\n "alpha": }')
         assert "line 2" in err
 
-    @pytest.mark.parametrize("literal", ["Infinity", "1e400", "4.0", '"4"'])
+    @pytest.mark.parametrize("literal", ["Infinity", "1e400", "4.0", '"4"', "-3", "0", "1"])
     def test_model_num_classes_not_an_integer_exits_2(self, tmp_path, capsys, literal):
         err = self._bad_model_exits_2(tmp_path, capsys, '{"method": "none", "num_classes": %s}' % literal)
-        assert "num_classes must be an integer, got" in err
+        assert "num_classes must be an integer in [2, inf), got" in err
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

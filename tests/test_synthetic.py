@@ -138,17 +138,13 @@ class TestPopulationConfidenceAccuracy:
 class TestFitConstrainedLogistic:
     def test_separable_data_saturates_small_radius(self):
         v = np.array([0.0, 1.0])
-        x = np.vstack([np.tile(v, (25, 1)), np.tile(-v, (25, 1))])
-        y = np.array([1] * 25 + [0] * 25)
-        clf = fit_constrained_logistic(BinaryDataset(x, y), radius=1.0)
+        clf = fit_constrained_logistic(BinaryDataset(np.vstack([v, -v]), [1, 0]), [25, 25], radius=1.0)
         assert abs(np.linalg.norm(clf.weight) - 1.0) <= 1e-9
 
     def test_two_atom_separable_aligns_with_direction(self):
         spec = RareAtomSpec(n=50, epsilon=0.01)
         v = np.array([0.0, 1.0])
-        x = np.vstack([np.tile(v, (30, 1)), np.tile(-v, (20, 1))])
-        y = np.array([1] * 30 + [0] * 20)
-        clf = fit_constrained_logistic(BinaryDataset(x, y), spec.radius)
+        clf = fit_constrained_logistic(BinaryDataset(np.vstack([v, -v]), [1, 0]), [30, 20], spec.radius)
         norm = np.linalg.norm(clf.weight)
         assert abs(norm - spec.radius) <= 1e-3
         assert clf.weight @ v / norm >= 0.999
@@ -156,8 +152,8 @@ class TestFitConstrainedLogistic:
 
     def test_sampled_noisy_fit_recovers_population_confidences(self):
         spec = NoisyBinarySpec(0.3, 0.1, direction=[1.0, 0.0])
-        data = sample_dnoisy(spec, 200_000, seed=11)
-        clf = fit_constrained_logistic(data, radius=1000.0)
+        atoms, counts = atom_counts(sample_dnoisy(spec, 200_000, seed=11))
+        clf = fit_constrained_logistic(atoms, counts, radius=1000.0)
         f_plus = float(clf.prob(spec.direction))
         f_minus = float(clf.prob(-spec.direction))
         assert abs(f_plus - 0.70) <= 0.01
@@ -165,12 +161,25 @@ class TestFitConstrainedLogistic:
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ConfigError):
-            fit_constrained_logistic(BinaryDataset(np.ones((2, 1)), np.array([0, 1])), 0.0)
+            fit_constrained_logistic(BinaryDataset(np.ones((2, 1)), np.array([0, 1])), [1, 1], 0.0)
+
+    def test_atoms_with_count_zero_are_left_out(self):
+        spec = RareAtomSpec(n=50, epsilon=0.01)
+        a = fit_constrained_logistic(BinaryDataset(spec.atoms, spec.atom_labels), [26, 0, 24], spec.radius)
+        b = fit_constrained_logistic(BinaryDataset(spec.atoms[[0, 2]], [1, 0]), [26, 24], spec.radius)
+        assert a.weight.tobytes() == b.weight.tobytes()
+        assert np.float64(a.intercept).tobytes() == np.float64(b.intercept).tobytes()
 
 
-def rowwise_constrained_logistic(dataset, radius):
-    """The constrained logistic fit with its loss and gradient summed over every record."""
-    x, y = dataset.x, dataset.y
+def atom_counts(dataset):
+    """The distinct (x, y) records of a dataset, in sorted order, and how often each occurs."""
+    rows, counts = np.unique(np.column_stack([dataset.x, dataset.y]), axis=0, return_counts=True)
+    return BinaryDataset(rows[:, :-1], rows[:, -1]), counts
+
+
+def rowwise_constrained_logistic(atoms, counts, radius):
+    """The constrained logistic fit with its loss and gradient summed over every sampled row."""
+    x, y = np.repeat(atoms.x, counts, axis=0), np.repeat(atoms.y, counts)
     n, d = x.shape
     ys = 2.0 * y - 1.0
 
@@ -190,17 +199,34 @@ def rowwise_constrained_logistic(dataset, radius):
     return synthetic.LinearBinaryClassifier(weight=result.x[:d], intercept=result.x[d])
 
 
-class TestCountWeightedFit:
-    def test_row_order_does_not_change_the_fit(self):
-        spec = RareAtomSpec(n=50, epsilon=0.01)
-        rng = np.random.default_rng(5)
-        for count in (50, 1500):
+def row_path_rare_atom_experiment(n, epsilon, trials, seed):
+    """The experiment as it ran on rows: each sample a dataset of rows, its atoms and counts found by np.unique."""
+    spec = RareAtomSpec(n=n, epsilon=epsilon)
+    records = []
+    for t in range(trials):
+        rng = np.random.default_rng(seed + t)
+        for scenario, count in (("s1", spec.n), ("s2", synthetic.LARGE_FACTOR * spec.n)):
             idx = rng.choice(3, size=count, p=spec.atom_probs)
-            perm = rng.permutation(count)
-            a = fit_constrained_logistic(BinaryDataset(spec.atoms[idx], spec.atom_labels[idx]), spec.radius)
-            b = fit_constrained_logistic(
-                BinaryDataset(spec.atoms[idx[perm]], spec.atom_labels[idx[perm]]), spec.radius
-            )
+            atoms, counts = atom_counts(BinaryDataset(spec.atoms[idx], spec.atom_labels[idx]))
+            clf = fit_constrained_logistic(atoms, counts, spec.radius)
+            min_conf, accuracy = synthetic._evaluate_on_atoms(clf, spec)
+            balanced = bool(np.sum(idx == 0) >= count / 3 and np.sum(idx == 2) >= count / 3)
+            records.append(synthetic.RareAtomTrial(t, scenario, bool(np.any(idx == 1)), balanced, min_conf, accuracy,
+                                                   clf.weight, clf.intercept))
+    return records
+
+
+class TestCountWeightedFit:
+    @pytest.mark.parametrize("args", [(100, 0.01, 10, 1000), (100, 0.01, 10, 5000), (100, 0.01, 10, 9000),
+                                      (50, 0.01, 20, 123), (10, 0.2, 20, 7)])
+    def test_matches_the_row_path_bit_for_bit(self, args):
+        counted = rare_atom_experiment(*args)
+        rows = row_path_rare_atom_experiment(*args)
+        assert len(counted) == len(rows) == 2 * args[2]
+        for a, b in zip(counted, rows):
+            assert (a.trial, a.scenario, a.rare_present, a.balanced) == (b.trial, b.scenario, b.rare_present, b.balanced)
+            assert type(a.rare_present) is type(a.balanced) is bool
+            assert (a.min_confidence, a.accuracy) == (b.min_confidence, b.accuracy)
             assert a.weight.tobytes() == b.weight.tobytes()
             assert np.float64(a.intercept).tobytes() == np.float64(b.intercept).tobytes()
 
