@@ -6,13 +6,16 @@ temperature per predicted class to the shared TS temperature alpha0 within
 radius gamma. With alpha0 fixed the CTS objective splits by predicted class,
 so every gamma runs the same scalar search once per predicted-class slice on
 [max(alpha0 - gamma, alpha_lo), alpha0 + gamma]: gamma = 0 collapses to TS
-and gamma = inf searches the full bounds. Vector scaling (VS) fits a
-per-class scale and bias by one L-BFGS solve from the TS solution and may
-change predictions; temperature variants never do. Each fit hands its
-solver only the problem; constants in `optim` decide when a solve stops.
-Each fit ends with one `predict` pass over the validation set, which gives
-the fitted model's validation NLL; applying a model to data, and so its
-accuracy before and after, is `core.predict`.
+and gamma = inf searches the full bounds. Each search evaluates one
+`optim.TemperatureProblem`, prepared before it starts; the class slices
+are contiguous runs of one gather of the shifted logits in class order.
+Vector scaling (VS) fits a per-class scale and bias by one L-BFGS solve
+from the TS solution and may change predictions; temperature variants
+never do. Each fit hands its solver only the problem; constants in
+`optim` decide when a solve stops. Each fit ends with one `predict` pass
+over the validation set, which gives the fitted model's validation NLL;
+applying a model to data, and so its accuracy before and after, is
+`core.predict`.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .core import (
     Temperature,
     Vector,
     check_model_classes,
+    class_order,
     predict,
-    split_by_predicted,
 )
 from .core import softmax  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 from .errors import EmptyDatasetError, InvalidModelError, check_int, check_real
@@ -39,6 +42,7 @@ from .metrics import nll  # noqa: F401  (unused here; bench/tracer.py wraps it a
 from .optim import (
     SCALAR_TOL,
     ScalarProblem,
+    TemperatureProblem,
     minimize_lbfgs,
     minimize_scalar,
     nll_grad_vector,
@@ -106,9 +110,9 @@ def _boundary_warnings(name: str, alpha: float, cfg: FitConfig) -> list[str]:
 
 
 def _scalar_fit(
-    val: LogitDataset, cfg: FitConfig, bounds: tuple[float, float] | None = None
+    problem: TemperatureProblem, cfg: FitConfig, bounds: tuple[float, float] | None = None
 ) -> tuple[float, int]:
-    """Temperature minimizing the NLL of `val`, and the evaluations used.
+    """Temperature minimizing the NLL of `problem`'s records, and the evaluations used.
 
     Every search starts at alpha = 1, so a predicted-class slice's result
     depends only on that slice. `bounds` defaults to [alpha_lo, alpha_hi].
@@ -119,7 +123,7 @@ def _scalar_fit(
     def objective(alpha: float) -> tuple[float, float, float]:
         nonlocal evals
         evals += 1
-        return temperature_nll(val, alpha)
+        return temperature_nll(problem, alpha)
 
     alpha, _ = minimize_scalar(ScalarProblem(objective, lo, hi))
     return alpha, evals
@@ -139,7 +143,7 @@ def fit_ts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit temperature scaling by minimizing validation NLL over [alpha_lo, alpha_hi]."""
     if val.num_records == 0:
         raise EmptyDatasetError("cannot fit on an empty validation set")
-    alpha, evals = _scalar_fit(val, cfg)
+    alpha, evals = _scalar_fit(TemperatureProblem.of(val), cfg)
     return _finish(Temperature(alpha), val, evals, [], _boundary_warnings("TS", alpha, cfg))
 
 
@@ -148,8 +152,8 @@ def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
 
     alpha0 is the TS solution. Records are split by the argmax of their raw
     logits (`LogitDataset.top`), the rule `predict` routes class
-    temperatures by. Each non-empty slice, taken once as a dataset of its
-    own that gathers its records' top entries, then gets its own
+    temperatures by. The shifted logits are gathered once in class order,
+    and each non-empty slice, a contiguous run of those rows, gets its own
     temperature, minimizing that slice's NLL on
     [max(alpha0 - gamma, alpha_lo), alpha0 + gamma] (on [alpha_lo, alpha_hi]
     when gamma = inf); this is the joint optimum, because the objective is a
@@ -160,7 +164,7 @@ def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     """
     if val.num_records == 0:
         raise EmptyDatasetError("cannot fit on an empty validation set")
-    alpha0, evals = _scalar_fit(val, cfg)
+    alpha0, evals = _scalar_fit(TemperatureProblem.of(val), cfg)
     warnings = _boundary_warnings("CTS shared", alpha0, cfg)
     decoupled = math.isinf(cfg.gamma)
     if decoupled:
@@ -171,15 +175,18 @@ def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     alphas = np.full(val.num_classes, alpha0)
     fallbacks = []
     if bounds[0] < bounds[1]:
-        for k, idx in enumerate(split_by_predicted(val.top[0], val.num_classes)):
-            if decoupled and idx.size < cfg.min_class_samples:
+        order, starts = class_order(val.top[0], val.num_classes)
+        problem = TemperatureProblem.of(val, order)
+        for k, (start, stop) in enumerate(zip(starts, starts[1:])):
+            if decoupled and stop - start < cfg.min_class_samples:
                 fallbacks.append(k)
                 continue
-            if idx.size == 0:
+            if stop == start:
                 continue
-            alphas[k], used = _scalar_fit(val.subset(idx), cfg, bounds)
+            alphas[k], used = _scalar_fit(problem.rows(start, stop), cfg, bounds)
             evals += used
             warnings += _boundary_warnings(f"CTS class {k}", alphas[k], cfg)
+        del problem  # the class solves are done: free their arrays before the final predict pass
     model = ClassWiseTemperature(alpha0, alphas, cfg.gamma)
     return _finish(model, val, evals, fallbacks, warnings)
 
@@ -196,7 +203,7 @@ def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     if val.num_records == 0:
         raise EmptyDatasetError("cannot fit on an empty validation set")
     k = val.num_classes
-    alpha_ts, evals = _scalar_fit(val, cfg)
+    alpha_ts, evals = _scalar_fit(TemperatureProblem.of(val), cfg)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evals

@@ -4,10 +4,11 @@ Holds the logit dataset and prediction containers, the calibration model
 variants, numerically stable softmax, `softmax_nll` (the library's one NLL
 kernel, which `predict` and both fit objectives in `optim` call), `predict`
 (the single evaluation pass: probabilities, predictions and per-record NLL
-from one kernel pass over the calibrated logits), and `split_by_predicted`,
-which turns a vector of labels into one plain index array per class: CTS
-fits split by the raw argmax and per-class metrics by the predicted label,
-each once. Classes are indexed 0..K-1 everywhere, including file formats.
+from one kernel pass over the calibrated logits), and `class_order`, one
+stable sort that groups the record indices by label, with
+`split_by_predicted` as its per-class views: CTS fits group by the raw
+argmax and per-class metrics by the predicted label, each once. Classes are
+indexed 0..K-1 everywhere, including file formats.
 
 A dataset finds each record's raw top class and top logit once, on first
 use (`LogitDataset.top`). The temperature variants multiply a record's
@@ -45,6 +46,7 @@ __all__ = [
     "softmax",
     "softmax_nll",
     "predict",
+    "class_order",
     "split_by_predicted",
 ]
 
@@ -342,10 +344,24 @@ def predict(dataset: LogitDataset, model: CalibrationModel) -> PredictionSet:
     )
 
 
+def class_order(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, list[int]]:
+    """Record indices grouped by label, and where each class's group starts.
+
+    Class k's records are order[bounds[k]:bounds[k + 1]], in ascending
+    order: one stable sort of the labels, cast to the narrowest unsigned
+    type that holds num_classes - 1 (NumPy radix-sorts 8- and 16-bit keys).
+    """
+    order = np.argsort(labels.astype(np.min_scalar_type(num_classes - 1)), kind="stable")
+    bounds = np.zeros(num_classes + 1, dtype=np.intp)
+    np.cumsum(np.bincount(labels, minlength=num_classes), out=bounds[1:])
+    return order, bounds.tolist()
+
+
 def split_by_predicted(predicted: np.ndarray, num_classes: int) -> list[np.ndarray]:
     """Record indices of each class 0..num_classes-1 in `predicted`, ascending.
 
     Entry k holds the indices whose label is k, possibly none; together the
-    entries partition the records.
+    entries partition the records. They are views of one `class_order`.
     """
-    return [np.flatnonzero(predicted == k) for k in range(num_classes)]
+    order, bounds = class_order(predicted, num_classes)
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]

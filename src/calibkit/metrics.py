@@ -5,8 +5,8 @@ its per-predicted-class variants max-ECE and Avg-ECE, negative log-likelihood,
 and reliability-diagram aggregates. Every metric of a (dataset, model) pair
 is read off one `core.predict` pass: the NLL is the mean of its per-record
 `nll` from `core.softmax_nll`, the kernel the fits minimize, and the
-per-class ECEs come from `compute_report`, which splits that pass's
-predictions by class once.
+per-class ECEs come from `compute_report`, which gathers that pass's
+records in class order once and bins every class with one `np.bincount`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .core import (
     Identity,
     LogitDataset,
     PredictionSet,
+    class_order,
     predict,
-    split_by_predicted,
 )
 from .core import softmax  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 from .errors import EmptyDatasetError, check_int
@@ -44,6 +44,10 @@ __all__ = [
 DEFAULT_NUM_BINS = 15
 # Bins finer than the spacing of doubles near 1 cannot be told apart.
 MAX_BINS = 2**53
+# `compute_report` counts (class, bin) cells for a block of classes at a
+# time, at most this many cells or one class's bins, so its memory does not
+# grow with the number of classes.
+_MAX_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -204,40 +208,63 @@ def compute_report(
 
     `per_class` has one entry per predicted class, in class order; classes
     never predicted are left out (with a warning) rather than reported as
-    zero. Each entry's ECE, accuracy and mean confidence come from one
-    gather of that class's records.
+    zero. The pass's records are gathered once in class order
+    (`core.class_order`); one `np.bincount` over (class, bin) cells per
+    block of classes gives every class's bin counts and sums, and each
+    class's accuracy and mean confidence come from its contiguous run.
     """
     if dataset.num_records == 0:
         raise EmptyDatasetError("cannot evaluate metrics on an empty dataset")
     preds = predict(dataset, model)
     stats = bin_stats(preds, binning)
+    num_classes, accuracy, mean_nll, predicted = preds.num_classes, preds.accuracy, preds.mean_nll, preds.predicted
 
+    order, bounds = class_order(predicted, num_classes)
+    confidence, correct = preds.confidence[order], preds.correct[order]
+    del preds  # the per-class statistics need none of its N x K probabilities
+    m = binning.num_bins
+    # (class, bin) cell of each record, in class order; a cell adds its records in
+    # ascending order, as a bincount over one class's records would.
+    cells = predicted[order] * m + binning.bin_indices(confidence)
+    block = max(1, _MAX_CELLS // m)
     per_class = []
     warnings = []
-    for k, idx in enumerate(split_by_predicted(preds.predicted, preds.num_classes)):
-        if idx.size == 0:
-            warnings.append(f"class {k} was never predicted; excluded from max/Avg-ECE")
-            continue
-        confidence, correct = preds.confidence[idx], preds.correct[idx]
-        per_class.append(
-            PerClassStats(
-                class_index=k,
-                count=idx.size,
-                ece=ece(_binned(confidence, correct, binning)),
-                accuracy=float(np.mean(correct)),
-                mean_confidence=float(np.mean(confidence)),
-            )
+    for first in range(0, num_classes, block):
+        classes = range(first, min(first + block, num_classes))
+        a, b = bounds[first], bounds[classes.stop]
+        counts, conf_sums, acc_sums = (
+            np.bincount(cells[a:b] - first * m, weights=w, minlength=len(classes) * m).reshape(len(classes), m)
+            for w in (None, confidence[a:b], correct[a:b])
         )
+        sizes = np.diff(bounds[first : classes.stop + 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = counts / sizes[:, None] * np.abs(acc_sums / counts - conf_sums / counts)
+        for k, size in zip(classes, sizes.tolist()):
+            if size == 0:
+                warnings.append(f"class {k} was never predicted; excluded from max/Avg-ECE")
+                continue
+            run, row = slice(bounds[k], bounds[k + 1]), k - first
+            per_class.append(
+                PerClassStats(
+                    class_index=k,
+                    count=size,
+                    # As `ece`: the weighted gaps of the occupied bins, in bin order.
+                    ece=float(np.sum(terms[row][counts[row] > 0])),
+                    accuracy=float(np.count_nonzero(correct[run]) / size),
+                    # sum() / n is np.mean's arithmetic.
+                    mean_confidence=float(confidence[run].sum() / size),
+                )
+            )
     eces = {row.class_index: row.ece for row in per_class}
 
     return MetricsReport(
-        accuracy=preds.accuracy,
+        accuracy=accuracy,
         ece=ece(stats),
         max_ece=max_ece(eces),
         avg_ece=avg_ece(eces),
-        nll=preds.mean_nll,
+        nll=mean_nll,
         per_class=per_class,
         binned=stats,
-        predicted=preds.predicted,
+        predicted=predicted,
         warnings=warnings,
     )

@@ -5,9 +5,12 @@ fallback), L-BFGS for smooth unconstrained problems, projected gradient
 descent with backtracking, and the calibration loss under scalar-temperature
 and vector scaling with its analytic derivatives. Both losses take their NLL
 from `core.softmax_nll`, the kernel `predict` uses, so the value a fit
-minimizes is the NLL a report gives. The losses run over every record of
-the dataset they are given: a per-class fit slices its records once, into a
-dataset of their own, and never gathers them again per evaluation.
+minimizes is the NLL a report gives. A temperature solve runs on a
+`TemperatureProblem`, prepared once: the shifted logits, their label
+entries and one work array that every evaluation computes into, so no
+evaluation allocates an array of the logits' size. A per-class fit gathers
+its records once in class order and gives each class a contiguous run of
+those rows.
 Each solver owns its stopping rule as a constant of this module
 (`SCALAR_TOL`; `LBFGS_MAX_ITERS` and `LBFGS_IMPROVEMENT_TOL`), so its
 callers pass only the problem. Projected gradient descent still takes its
@@ -35,6 +38,7 @@ __all__ = [
     "minimize_scalar",
     "minimize_lbfgs",
     "projected_gd",
+    "TemperatureProblem",
     "temperature_nll",
     "vector_nll",
     "nll_grad_vector",
@@ -290,26 +294,70 @@ def minimize_lbfgs(
     )
 
 
-def temperature_nll(dataset: LogitDataset, alpha: float) -> tuple[float, float, float]:
+@dataclass(frozen=True, eq=False)
+class TemperatureProblem:
+    """The data of one temperature solve, prepared once for all its evaluations.
+
+    `shifted` holds the logits u = z - top (each row's maximum is 0),
+    `label_shifted` each record's entry u_y at its label, and `work` an
+    array of u's shape that every evaluation overwrites. `of` prepares a
+    dataset, optionally with its records reordered; `rows` is the problem
+    of a contiguous run of records, sharing the arrays, so problems taken
+    from one preparation are evaluated one at a time.
+    """
+
+    shifted: np.ndarray
+    labels: np.ndarray
+    label_shifted: np.ndarray
+    work: np.ndarray
+
+    @classmethod
+    def of(cls, dataset: LogitDataset, order: np.ndarray | None = None) -> "TemperatureProblem":
+        """The problem of every record of `dataset`, taken in `order` if given."""
+        labels, top = dataset.labels, dataset.top[1]
+        if order is None:
+            u = dataset.logits - top[:, None]  # shift-invariant
+        else:
+            labels, u = labels[order], dataset.logits[order]
+            u -= top[order][:, None]
+        return cls(u, labels, u[np.arange(labels.shape[0]), labels], np.empty_like(u))
+
+    def rows(self, start: int, stop: int) -> "TemperatureProblem":
+        return TemperatureProblem(*(arr[start:stop] for arr in vars(self).values()))
+
+    @property
+    def num_records(self) -> int:
+        return self.shifted.shape[0]
+
+    @property
+    def num_classes(self) -> int:
+        return self.shifted.shape[1]
+
+
+def temperature_nll(
+    problem: TemperatureProblem | LogitDataset, alpha: float
+) -> tuple[float, float, float]:
     """Mean NLL of the true labels under softmax(alpha * logits) and its alpha-derivatives.
 
     Returns (mean NLL, mean(E_p[z] - z_y), mean(Var_p[z])) from one softmax
-    pass over every record of `dataset`; a CTS fit passes each
-    predicted-class slice as its own dataset. The second derivative is a
-    variance, so the NLL is convex in alpha. The logits are shifted by the
-    dataset's cached top logits, so every row's maximum is 0.
+    pass over every record of `problem`; a dataset is prepared on the spot.
+    The second derivative is a variance, so the NLL is convex in alpha.
+    The scaled logits go into the problem's work array, so an evaluation
+    allocates nothing of the size of the logits.
     """
-    z, y = dataset.logits, dataset.labels
-    u = z - dataset.top[1][:, None]  # shift-invariant
-    e, s, nll = softmax_nll(alpha * u, y)
-    mean_u = np.einsum("ij,ij->i", e, u) / s
+    if isinstance(problem, LogitDataset):
+        problem = TemperatureProblem.of(problem)
+    u, n = problem.shifted, problem.num_records
+    e, s, nll = softmax_nll(np.multiply(u, alpha, out=problem.work), problem.labels)
+    mean_u = np.einsum("ij,ij->i", e, u)
+    mean_u /= s
     e *= u
-    var_u = np.einsum("ij,ij->i", e, u) / s - mean_u * mean_u
-    return (
-        float(np.mean(nll)),
-        float(np.mean(mean_u - u[np.arange(y.shape[0]), y])),
-        float(np.mean(var_u)),
-    )
+    var_u = np.einsum("ij,ij->i", e, u)
+    var_u /= s
+    var_u -= mean_u * mean_u
+    mean_u -= problem.label_shifted
+    # sum() / n is np.mean's arithmetic without its overhead.
+    return float(nll.sum() / n), float(mean_u.sum() / n), float(var_u.sum() / n)
 
 
 def _check_vector_dims(dataset: LogitDataset, scale: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,14 @@ from calibkit.core import (
 )
 from calibkit.errors import ConfigError, EmptyDatasetError, InvalidModelError, OptimizationError
 from calibkit.metrics import compute_report, nll
-from calibkit.optim import GradientProblem, nll_grad_vector, projected_gd, temperature_nll
+from calibkit.optim import (
+    GradientProblem,
+    ScalarProblem,
+    minimize_scalar,
+    nll_grad_vector,
+    projected_gd,
+    temperature_nll,
+)
 from calibkit.synthetic import HeteroLogitSpec, gen_hetero_logits
 
 
@@ -434,3 +441,56 @@ class TestSerialization:
             model_from_dict(
                 {"method": "cts", "alpha0": 1.0, "alphas": [1.0], "gamma": 0.0, "num_classes": 2}
             )
+
+
+def reference_fit_cts(val, cfg):
+    """(alpha0, alphas, evaluations, fallbacks) with each class fitted on `val.subset(idx)`."""
+    evals = 0
+
+    def solve(ds, lo, hi):
+        def objective(alpha):
+            nonlocal evals
+            evals += 1
+            return temperature_nll(ds, alpha)
+
+        return minimize_scalar(ScalarProblem(objective, lo, hi))[0]
+
+    alpha0 = solve(val, cfg.alpha_lo, cfg.alpha_hi)
+    if math.isinf(cfg.gamma):
+        lo, hi = cfg.alpha_lo, cfg.alpha_hi
+    else:
+        lo, hi = max(alpha0 - cfg.gamma, cfg.alpha_lo), alpha0 + cfg.gamma
+    alphas, fallbacks = np.full(val.num_classes, alpha0), []
+    if lo < hi:
+        for k in range(val.num_classes):
+            idx = np.flatnonzero(np.argmax(val.logits, axis=1) == k)
+            if math.isinf(cfg.gamma) and idx.size < cfg.min_class_samples:
+                fallbacks.append(k)
+            elif idx.size:
+                alphas[k] = solve(val.subset(idx), lo, hi)
+    return alpha0, alphas, evals, fallbacks
+
+
+class TestCtsAgainstSubsets:
+    """`fit_cts` on one class-ordered gather equals a fit of each class's subset on its own."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, math.inf])
+    @pytest.mark.parametrize("min_class_samples", [0, 10, 40])
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_alphas_iterations_and_fallbacks(self, gamma, min_class_samples, seed):
+        rng = np.random.default_rng(seed)
+        k = 12
+        # Class sizes from 0 to about 120, so some classes fall below min_class_samples and one is empty.
+        sizes = np.concatenate([[0, 1, 5], rng.integers(8, 120, k - 3)])
+        top = np.repeat(np.arange(k), sizes)
+        logits = rng.normal(size=(top.size, k)) * rng.uniform(0.5, 3, k)[top][:, None]
+        logits[np.arange(top.size), top] = logits.max(axis=1) + rng.exponential(1.0, top.size)
+        perm = rng.permutation(top.size)
+        val = LogitDataset(logits[perm], rng.integers(0, k, top.size))
+        cfg = FitConfig(gamma=gamma, min_class_samples=min_class_samples)
+        fit = fit_cts(val, cfg)
+        alpha0, alphas, evals, fallbacks = reference_fit_cts(val, cfg)
+        assert fit.model.alpha0 == alpha0
+        assert fit.model.alphas.tobytes() == alphas.tobytes()
+        assert fit.iterations == evals
+        assert fit.fallback_classes == fallbacks

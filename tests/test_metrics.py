@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from calibkit.core import Identity, LogitDataset, Temperature, Vector, predict
+from calibkit.core import (
+    ClassWiseTemperature,
+    Identity,
+    LogitDataset,
+    Temperature,
+    Vector,
+    predict,
+    split_by_predicted,
+)
 from calibkit.calibrate import fit_cts, fit_ts, fit_vs
 from calibkit.errors import ConfigError, EmptyDatasetError, InvalidInputError
 from calibkit.metrics import (
@@ -338,3 +348,90 @@ class TestOnePass:
         report = compute_report(ds, model)
         np.testing.assert_array_equal(report.predicted, predict(ds, model).predicted)
         assert not report.predicted.flags.writeable
+
+
+def reference_per_class(preds, num_bins):
+    """(class, count, ece, accuracy, mean confidence) per predicted class, one gather each.
+
+    Each class's records are taken with `np.flatnonzero` and binned here:
+    bin i >= 1 holds confidences in ((i-1)/M, i/M], and the ECE sums the
+    weighted gaps of the occupied bins in bin order.
+    """
+    rows = []
+    for k in range(preds.num_classes):
+        idx = np.flatnonzero(preds.predicted == k)
+        if idx.size == 0:
+            continue
+        conf, correct = preds.confidence[idx], preds.correct[idx]
+        bins = np.clip(np.ceil(conf * num_bins).astype(np.int64), 1, num_bins) - 1
+        counts = np.bincount(bins, minlength=num_bins)
+        conf_sums = np.bincount(bins, weights=conf, minlength=num_bins)
+        acc_sums = np.bincount(bins, weights=correct.astype(np.float64), minlength=num_bins)
+        occupied = counts > 0
+        n = counts[occupied]
+        gaps = np.abs(acc_sums[occupied] / n - conf_sums[occupied] / n)
+        rows.append((k, idx.size, float(np.sum(n / idx.size * gaps)), float(np.mean(correct)), float(np.mean(conf))))
+    return rows
+
+
+def same_float(a, b) -> bool:
+    return type(a) is type(b) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestPerClassReport:
+    """`compute_report`'s per-class statistics, bit for bit against a gather per class."""
+
+    @given(
+        k=st.sampled_from([2, 3, 10, 100, 257]),
+        n=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+        dead=st.floats(0.0, 0.9),
+        kind=st.sampled_from(["none", "ts", "cts", "vs"]),
+        num_bins=st.sampled_from([1, 2, 15, 100, 5000]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_a_gather_per_class(self, k, n, seed, ties, dead, kind, num_bins):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(n, k)) * 3
+        if ties:
+            logits = np.round(logits)  # many exact ties in the raw logits
+        # The last classes are never the raw argmax.
+        logits[:, k - int(dead * k) :] -= 100
+        ds = LogitDataset(logits, rng.integers(0, k, n))
+        if kind == "ts":
+            model = Temperature(rng.uniform(0.1, 5))
+        elif kind == "cts":
+            model = ClassWiseTemperature(1.0, rng.uniform(0.1, 5, k), np.inf)
+        elif kind == "vs":
+            # A bias far above any logit gap moves record 0 to another class.
+            bias = np.zeros(k)
+            bias[(ds.top[0][0] + 1) % k] = 1000
+            model = Vector(rng.uniform(0.5, 2, k), bias)
+        else:
+            model = Identity()
+        preds = predict(ds, model)
+        if kind == "vs":
+            assert preds.predicted[0] != ds.top[0][0]
+
+        report = compute_report(ds, model, BinningConfig(num_bins))
+        want = reference_per_class(preds, num_bins)
+        got = [(r.class_index, r.count, r.ece, r.accuracy, r.mean_confidence) for r in report.per_class]
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+        assert all(type(row[1]) is int for row in got)
+        for g, w in zip(got, want):
+            assert all(same_float(a, b) for a, b in zip(g[2:], w[2:])), (g, w)
+        eces = [row[2] for row in want]
+        assert same_float(report.max_ece, float(max(eces)))
+        assert same_float(report.avg_ece, float(np.mean(eces)))
+        never = sorted(set(range(k)) - {row[0] for row in want})
+        assert report.warnings == [f"class {c} was never predicted; excluded from max/Avg-ECE" for c in never]
+
+        # The split at the edges of the uint8, uint16 and uint32 sort keys.
+        for big in (256, 257, 65_537):
+            labels = np.minimum(preds.predicted, big - 1)
+            labels[labels == labels.max()] = big - 1
+            slices = split_by_predicted(labels, big)
+            assert len(slices) == big and sum(s.size for s in slices) == n
+            for c in np.unique(labels):  # every other slice is empty, by the count above
+                np.testing.assert_array_equal(slices[c], np.flatnonzero(labels == c), strict=True)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calibkit.core import LogitDataset
 from calibkit.errors import ConfigError, OptimizationError
@@ -9,6 +11,7 @@ from calibkit import optim
 from calibkit.optim import (
     GradientProblem,
     ScalarProblem,
+    TemperatureProblem,
     minimize_lbfgs,
     minimize_scalar,
     nll_grad_vector,
@@ -16,6 +19,7 @@ from calibkit.optim import (
     temperature_nll,
     vector_nll,
 )
+from test_top_logit import reference_temperature_nll, same_bits
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-8
@@ -27,6 +31,23 @@ def rel_err(a, b):
 
 def random_dataset(rng, n=200, k=5):
     return LogitDataset(rng.normal(size=(n, k)), rng.integers(0, k, n))
+
+
+def grid_nll(ds, alphas, chunk=500):
+    """Mean NLL of softmax(alpha * logits) at each alpha, by log-sum-exp over chunks of alphas.
+
+    Written here, apart from calibkit's kernel, so a grid search against it
+    checks the solver and the kernel together.
+    """
+    u = ds.logits - ds.logits.max(axis=1, keepdims=True)
+    u_y = u[np.arange(ds.num_records), ds.labels]
+    out = []
+    for start in range(0, alphas.size, chunk):
+        a = alphas[start : start + chunk, None]
+        scaled = a[:, :, None] * u  # (alphas, records, classes); each row's maximum is 0
+        log_total = np.log(np.exp(scaled).sum(axis=2))
+        out.append((log_total - a * u_y).mean(axis=1))
+    return np.concatenate(out)
 
 
 def quadratic(c):
@@ -54,7 +75,7 @@ class TestMinimizeScalar:
         lo, hi = 0.01, 100.0
         x, _ = minimize_scalar(ScalarProblem(lambda a: temperature_nll(ds, a), lo, hi))
         grid = np.linspace(lo, hi, 100_001)
-        vals = np.array([temperature_nll(ds, a)[0] for a in grid])
+        vals = grid_nll(ds, grid)
         step = grid[1] - grid[0]
         assert abs(x - grid[np.argmin(vals)]) <= step
 
@@ -370,3 +391,41 @@ class TestProjectedGD:
                     x0=np.zeros(2),
                 )
             )
+
+
+class TestTemperatureProblem:
+    """A prepared problem gives every evaluation the bits of a fresh one."""
+
+    @given(
+        k=st.integers(2, 12),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+        alphas=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_evaluations_match_a_fresh_dataset(self, k, n, seed, ties, alphas, data):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(n, k)) * 3
+        if ties:
+            logits = np.round(logits)
+        ds = LogitDataset(logits, rng.integers(0, k, n))
+        # 0.01 and 100 are the search bounds; repeats check that no evaluation leaves state behind.
+        sequence = [0.01, 100.0, *alphas, *alphas[:2], 0.01]
+        sequence = data.draw(st.permutations(sequence))
+
+        top_class = ds.top[0]
+        order = np.argsort(top_class, kind="stable")
+        c = data.draw(st.sampled_from(sorted(set(top_class.tolist()))))
+        start, stop = np.searchsorted(top_class[order], [c, c + 1])
+        cases = [
+            (TemperatureProblem.of(ds), ds),
+            (TemperatureProblem.of(ds, order).rows(start, stop), ds.subset(np.flatnonzero(top_class == c))),
+        ]
+        for problem, fresh in cases:
+            assert (problem.num_records, problem.num_classes) == (fresh.num_records, k)
+            for alpha in sequence:
+                got = temperature_nll(problem, alpha)
+                for want in (temperature_nll(fresh, alpha), reference_temperature_nll(fresh, alpha)):
+                    assert all(same_bits(a, b) for a, b in zip(got, want)), (alpha, got, want)
