@@ -16,7 +16,6 @@ from .core import (
     Vector,
     predict,
     softmax,
-    split_by_predicted,
 )
 from .calibrate import (
     FitConfig,

@@ -5,10 +5,9 @@ variants, numerically stable softmax, `softmax_nll` (the library's one NLL
 kernel, which `predict` and both fit objectives in `optim` call), `predict`
 (the single evaluation pass: probabilities, predictions and per-record NLL
 from one kernel pass over the calibrated logits), and `class_order`, one
-stable sort that groups the record indices by label, with
-`split_by_predicted` as its per-class views: CTS fits group by the raw
-argmax and per-class metrics by the predicted label, each once. Classes are
-indexed 0..K-1 everywhere, including file formats.
+stable sort that groups the record indices by label: CTS fits group by the
+raw argmax and per-class metrics by the predicted label, each once. Classes
+are indexed 0..K-1 everywhere, including file formats.
 
 A dataset finds each record's raw top class and top logit once, on first
 use (`LogitDataset.top`). The temperature variants multiply a record's
@@ -47,7 +46,6 @@ __all__ = [
     "softmax_nll",
     "predict",
     "class_order",
-    "split_by_predicted",
 ]
 
 
@@ -146,19 +144,14 @@ class LogitDataset:
     def subset(self, indices: np.ndarray) -> "LogitDataset":
         """Dataset restricted to the given record indices (order preserved).
 
-        Indices must be integers in [0, num_records). If this dataset has
-        computed `top`, the subset gathers its entries rather than computing
-        them again.
+        Indices must be integers in [0, num_records). The subset finds its
+        own `top` on first use, like any other dataset.
         """
         idx = check_array(
             "indices", indices, integer=True, ge=0, lt=self.num_records, error=InvalidInputError
         )
         # The gathers are new arrays of records that passed the checks.
-        sub = LogitDataset._adopt(self.logits[idx], self.labels[idx])
-        top = self.__dict__.get("top")
-        if top is not None:
-            sub.__dict__["top"] = tuple(_read_only(arr[idx]) for arr in top)
-        return sub
+        return LogitDataset._adopt(self.logits[idx], self.labels[idx])
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,12 +349,3 @@ def class_order(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, list[
     np.cumsum(np.bincount(labels, minlength=num_classes), out=bounds[1:])
     return order, bounds.tolist()
 
-
-def split_by_predicted(predicted: np.ndarray, num_classes: int) -> list[np.ndarray]:
-    """Record indices of each class 0..num_classes-1 in `predicted`, ascending.
-
-    Entry k holds the indices whose label is k, possibly none; together the
-    entries partition the records. They are views of one `class_order`.
-    """
-    order, bounds = class_order(predicted, num_classes)
-    return [order[a:b] for a, b in zip(bounds, bounds[1:])]

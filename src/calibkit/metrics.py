@@ -87,12 +87,13 @@ class BinnedStats:
         return self.counts.shape[0]
 
 
-def _binned(confidence: np.ndarray, correct: np.ndarray, binning: BinningConfig) -> BinnedStats:
-    m = binning.num_bins
+def bin_stats(preds: PredictionSet, binning: BinningConfig) -> BinnedStats:
+    """Assign each record to a confidence bin and aggregate counts and means."""
+    m, confidence = binning.num_bins, preds.confidence
     idx = binning.bin_indices(confidence)
     counts = np.bincount(idx, minlength=m)
     conf_sums = np.bincount(idx, weights=confidence, minlength=m)
-    acc_sums = np.bincount(idx, weights=np.asarray(correct, dtype=np.float64), minlength=m)
+    acc_sums = np.bincount(idx, weights=np.asarray(preds.correct, dtype=np.float64), minlength=m)
     with np.errstate(invalid="ignore"):
         mean_conf = np.where(counts > 0, conf_sums / np.maximum(counts, 1), np.nan)
         mean_acc = np.where(counts > 0, acc_sums / np.maximum(counts, 1), np.nan)
@@ -102,11 +103,6 @@ def _binned(confidence: np.ndarray, correct: np.ndarray, binning: BinningConfig)
         mean_accuracy=mean_acc,
         total=int(confidence.shape[0]),
     )
-
-
-def bin_stats(preds: PredictionSet, binning: BinningConfig) -> BinnedStats:
-    """Assign each record to a confidence bin and aggregate counts and means."""
-    return _binned(preds.confidence, preds.correct, binning)
 
 
 def ece(stats: BinnedStats) -> float:
@@ -194,7 +190,6 @@ class MetricsReport:
     avg_ece: float
     nll: float
     per_class: list[PerClassStats]
-    binned: BinnedStats
     predicted: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
@@ -216,7 +211,7 @@ def compute_report(
     if dataset.num_records == 0:
         raise EmptyDatasetError("cannot evaluate metrics on an empty dataset")
     preds = predict(dataset, model)
-    stats = bin_stats(preds, binning)
+    overall_ece = ece(bin_stats(preds, binning))
     num_classes, accuracy, mean_nll, predicted = preds.num_classes, preds.accuracy, preds.mean_nll, preds.predicted
 
     order, bounds = class_order(predicted, num_classes)
@@ -259,12 +254,11 @@ def compute_report(
 
     return MetricsReport(
         accuracy=accuracy,
-        ece=ece(stats),
+        ece=overall_ece,
         max_ece=max_ece(eces),
         avg_ece=avg_ece(eces),
         nll=mean_nll,
         per_class=per_class,
-        binned=stats,
         predicted=predicted,
         warnings=warnings,
     )

@@ -5,18 +5,18 @@ fallback), L-BFGS for smooth unconstrained problems, projected gradient
 descent with backtracking, and the calibration loss under scalar-temperature
 and vector scaling with its analytic derivatives. Both losses take their NLL
 from `core.softmax_nll`, the kernel `predict` uses, so the value a fit
-minimizes is the NLL a report gives. A temperature solve runs on a
-`TemperatureProblem`, prepared once: the shifted logits, their label
-entries and one work array that every evaluation computes into, so no
-evaluation allocates an array of the logits' size. A per-class fit gathers
-its records once in class order and gives each class a contiguous run of
-those rows.
+minimizes is the NLL a report gives. The temperature loss takes only a
+`TemperatureProblem`, prepared once per solve: the shifted logits, their
+label entries and one work array that every evaluation computes into, so
+no evaluation allocates an array of the logits' size. A per-class fit
+gathers its records once in class order and gives each class a contiguous
+run of those rows.
 Each solver owns its stopping rule as a constant of this module
-(`SCALAR_TOL`; `LBFGS_MAX_ITERS` and `LBFGS_IMPROVEMENT_TOL`), so its
-callers pass only the problem. Projected gradient descent still takes its
-iteration cap and tolerances from `GradientProblem`, which
-`synthetic.fit_constrained_logistic` sets to values of its own. Everything
-here is deterministic.
+(`SCALAR_TOL`; `LBFGS_MAX_ITERS` and `LBFGS_IMPROVEMENT_TOL`), and the
+scalar search always starts at 1, so their callers pass only the problem.
+Projected gradient descent still takes its iteration cap and tolerances
+from `GradientProblem`, which `synthetic.fit_constrained_logistic` sets to
+values of its own. Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -72,28 +72,28 @@ _MAX_STEP = 1e30
 class ScalarProblem:
     """A convex 1-D objective on [lo, hi], minimized to `SCALAR_TOL` on the argument.
 
-    `objective(x)` returns (f(x), f'(x), f''(x)). The search starts at `x0`,
+    `objective(x)` returns (f(x), f'(x), f''(x)). The search starts at 1,
     clipped into [lo, hi].
     """
 
     objective: Callable[[float], tuple[float, float, float]]
     lo: float
     hi: float
-    x0: float = 1.0
 
 
 def minimize_scalar(problem: ScalarProblem) -> tuple[float, float]:
     """Minimize a bounded convex scalar objective; returns (argmin, value).
 
-    The sign of f' at the start says on which side of it the minimizer lies;
-    the bound on that side is returned if f' has the same sign there
-    (f'(lo) >= 0 or f'(hi) <= 0). Otherwise f' changes sign inside a
-    bracket, and Newton steps x - f'/f'' are taken while they land inside it
-    and are at most half the step before last; any other step bisects the
-    bracket (Nocedal & Wright, *Numerical Optimization*, ch. 3). The search
-    stops once a step or the bracket is below `SCALAR_TOL`, and raises
-    OptimizationError on a non-finite evaluation or if it runs past a fixed
-    iteration bound.
+    The search starts at 1, clipped into [lo, hi]. The sign of f' there
+    says on which side of it the minimizer lies; the bound on that side is
+    returned if f' has the same sign there (f'(lo) >= 0 or f'(hi) <= 0),
+    and so is the start if it is that bound. Otherwise f' changes sign
+    inside a bracket, and Newton steps x - f'/f'' are taken while they land
+    inside it and are at most half the step before last; any other step
+    bisects the bracket (Nocedal & Wright, *Numerical Optimization*, ch. 3).
+    The search stops once a step or the bracket is below `SCALAR_TOL`, and
+    raises OptimizationError on a non-finite evaluation or if it runs past a
+    fixed iteration bound.
     """
     lo, hi = float(problem.lo), float(problem.hi)
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
@@ -105,7 +105,7 @@ def minimize_scalar(problem: ScalarProblem) -> tuple[float, float]:
             raise OptimizationError(f"objective is not finite at x={x}: {(val, d1, d2)}")
         return val, d1, d2
 
-    x = min(max(float(problem.x0), lo), hi)
+    x = min(max(1.0, lo), hi)
     fx, g, h = f(x)
     bound = hi if g < 0 else lo
     if g == 0 or x == bound:
@@ -334,19 +334,15 @@ class TemperatureProblem:
         return self.shifted.shape[1]
 
 
-def temperature_nll(
-    problem: TemperatureProblem | LogitDataset, alpha: float
-) -> tuple[float, float, float]:
+def temperature_nll(problem: TemperatureProblem, alpha: float) -> tuple[float, float, float]:
     """Mean NLL of the true labels under softmax(alpha * logits) and its alpha-derivatives.
 
     Returns (mean NLL, mean(E_p[z] - z_y), mean(Var_p[z])) from one softmax
-    pass over every record of `problem`; a dataset is prepared on the spot.
-    The second derivative is a variance, so the NLL is convex in alpha.
-    The scaled logits go into the problem's work array, so an evaluation
-    allocates nothing of the size of the logits.
+    pass over every record of the prepared `problem`. The second derivative
+    is a variance, so the NLL is convex in alpha. The scaled logits go into
+    the problem's work array, so an evaluation allocates nothing of the
+    size of the logits.
     """
-    if isinstance(problem, LogitDataset):
-        problem = TemperatureProblem.of(problem)
     u, n = problem.shifted, problem.num_records
     e, s, nll = softmax_nll(np.multiply(u, alpha, out=problem.work), problem.labels)
     mean_u = np.einsum("ij,ij->i", e, u)

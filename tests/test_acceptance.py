@@ -23,6 +23,7 @@ from calibkit.core import (
 from calibkit.io import read_logit_csv, write_logit_csv
 from calibkit.metrics import BinningConfig, compute_report
 from calibkit.optim import (
+    TemperatureProblem,
     nll_grad_vector,
     temperature_nll,
     vector_nll,
@@ -201,7 +202,8 @@ def test_criterion_6_optimizer_oracles():
         k = int(rng.integers(2, 8))
         ds = LogitDataset(rng.normal(size=(n, k)) * 2, rng.integers(0, k, n))
         fitted = fit_ts(ds, FitConfig(alpha_lo=lo, alpha_hi=hi)).model.alpha
-        vals = np.array([temperature_nll(ds, a)[0] for a in grid])
+        problem = TemperatureProblem.of(ds)
+        vals = np.array([temperature_nll(problem, a)[0] for a in grid])
         assert abs(fitted - grid[int(np.argmin(vals))]) <= step
 
     # Analytic gradients match central finite differences, 100 trials.
@@ -211,8 +213,9 @@ def test_criterion_6_optimizer_oracles():
         ds = LogitDataset(rng.normal(size=(60, k)), rng.integers(0, k, 60))
         if trial % 2 == 0:
             alpha = float(rng.uniform(0.1, 10))
-            grad = temperature_nll(ds, alpha)[1]
-            fd = (temperature_nll(ds, alpha + h)[0] - temperature_nll(ds, alpha - h)[0]) / (2 * h)
+            problem = TemperatureProblem.of(ds)
+            grad = temperature_nll(problem, alpha)[1]
+            fd = (temperature_nll(problem, alpha + h)[0] - temperature_nll(problem, alpha - h)[0]) / (2 * h)
             assert abs(grad - fd) / max(abs(fd), 1e-8) <= 1e-5
         else:
             a = rng.uniform(0.5, 2.0, k)

@@ -15,10 +15,10 @@ from calibkit.core import (
     PredictionSet,
     Temperature,
     Vector,
+    class_order,
     predict,
     softmax,
     softmax_nll,
-    split_by_predicted,
 )
 from calibkit.errors import (
     ClassCountMismatchError,
@@ -335,17 +335,23 @@ class TestPredict:
         assert np.shares_memory(given.probs, probs)
 
 
+def class_runs(labels, num_classes):
+    """Each class's run of `class_order`: the indices of its records."""
+    order, bounds = class_order(labels, num_classes)
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 class TestSplitByPredicted:
     def test_direct_grouping(self):
         ds = LogitDataset(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]), np.array([0, 1, 0]))
-        slices = split_by_predicted(predict(ds, Identity()).predicted, 2)
+        slices = class_runs(predict(ds, Identity()).predicted, 2)
         np.testing.assert_array_equal(slices[0], [0, 2])
         np.testing.assert_array_equal(slices[1], [1])
 
     def test_degenerate_partition(self):
         logits = np.zeros((7, 5))
         logits[:, 3] = 4.0
-        slices = split_by_predicted(predict(LogitDataset(logits, np.full(7, 3)), Identity()).predicted, 5)
+        slices = class_runs(predict(LogitDataset(logits, np.full(7, 3)), Identity()).predicted, 5)
         assert len(slices) == 5
         assert slices[3].size == 7
         assert all(slices[k].size == 0 for k in range(5) if k != 3)
@@ -353,7 +359,7 @@ class TestSplitByPredicted:
     def test_sizes_sum_to_total(self):
         rng = np.random.default_rng(4)
         ds = LogitDataset(rng.normal(size=(1000, 10)), rng.integers(0, 10, 1000))
-        slices = split_by_predicted(predict(ds, Identity()).predicted, 10)
+        slices = class_runs(predict(ds, Identity()).predicted, 10)
         assert sum(s.size for s in slices) == 1000
 
     @given(st.integers(0, 400), st.integers(2, 9), st.integers(0, 2**32 - 1))
@@ -361,7 +367,7 @@ class TestSplitByPredicted:
     def test_partition_property(self, n, k, seed):
         rng = np.random.default_rng(seed)
         ds = LogitDataset(rng.normal(size=(n, k)), rng.integers(0, k, n))
-        slices = split_by_predicted(predict(ds, Identity()).predicted, k)
+        slices = class_runs(predict(ds, Identity()).predicted, k)
         merged = np.concatenate(slices) if slices else np.array([])
         assert all(np.all(np.diff(s) > 0) for s in slices)  # each slice ascending
         assert merged.size == n

@@ -11,8 +11,8 @@ from calibkit.core import (
     LogitDataset,
     Temperature,
     Vector,
+    class_order,
     predict,
-    split_by_predicted,
 )
 from calibkit.calibrate import fit_cts, fit_ts, fit_vs
 from calibkit.errors import ConfigError, EmptyDatasetError, InvalidInputError
@@ -263,14 +263,15 @@ class TestNll:
             nll(ds, Vector(np.full(2, 1.7e308), np.zeros(2)))
 
     def test_temperature_derivative_matches_finite_differences(self):
-        from calibkit.optim import temperature_nll
+        from calibkit.optim import TemperatureProblem, temperature_nll
 
         rng = np.random.default_rng(27)
         ds = LogitDataset(rng.normal(size=(200, 5)), rng.integers(0, 5, 200))
+        problem = TemperatureProblem.of(ds)
         h = 1e-5
         for alpha in rng.uniform(0.1, 10, 20):
             fd = (nll(ds, Temperature(alpha + h)) - nll(ds, Temperature(alpha - h))) / (2 * h)
-            grad = temperature_nll(ds, alpha)[1]
+            grad = temperature_nll(problem, alpha)[1]
             assert abs(grad - fd) / max(abs(fd), 1e-8) <= 1e-5
 
 
@@ -431,7 +432,7 @@ class TestPerClassReport:
         for big in (256, 257, 65_537):
             labels = np.minimum(preds.predicted, big - 1)
             labels[labels == labels.max()] = big - 1
-            slices = split_by_predicted(labels, big)
-            assert len(slices) == big and sum(s.size for s in slices) == n
-            for c in np.unique(labels):  # every other slice is empty, by the count above
-                np.testing.assert_array_equal(slices[c], np.flatnonzero(labels == c), strict=True)
+            order, bounds = class_order(labels, big)
+            assert len(bounds) == big + 1 and bounds[0] == 0 and bounds[-1] == n
+            for c in np.unique(labels):  # every other class's run is empty, by the bounds above
+                np.testing.assert_array_equal(order[bounds[c] : bounds[c + 1]], np.flatnonzero(labels == c), strict=True)

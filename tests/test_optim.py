@@ -73,42 +73,40 @@ class TestMinimizeScalar:
         rng = np.random.default_rng(10)
         ds = random_dataset(rng, n=500)
         lo, hi = 0.01, 100.0
-        x, _ = minimize_scalar(ScalarProblem(lambda a: temperature_nll(ds, a), lo, hi))
+        problem = TemperatureProblem.of(ds)
+        x, _ = minimize_scalar(ScalarProblem(lambda a: temperature_nll(problem, a), lo, hi))
         grid = np.linspace(lo, hi, 100_001)
         vals = grid_nll(ds, grid)
         step = grid[1] - grid[0]
         assert abs(x - grid[np.argmin(vals)]) <= step
 
-    def test_start_point_insensitive(self):
-        rng = np.random.default_rng(11)
-        for scale in (0.5, 2.0, 5.0):
-            ds = random_dataset(rng, n=300)
-            ds = LogitDataset(scale * ds.logits, ds.labels)
-            xs = [
-                minimize_scalar(ScalarProblem(lambda a: temperature_nll(ds, a), 0.01, 100.0, x0=x0))[0]
-                for x0 in (0.01, 0.3, 1.0, 7.0, 100.0)
-            ]
-            assert max(xs) - min(xs) <= 10 * optim.SCALAR_TOL
-
     def test_lower_bound_when_increasing(self):
-        for x0 in (0.0, 1.0, 5.0):
-            x, fx = minimize_scalar(ScalarProblem(quadratic(-1.0), 0.0, 5.0, x0=x0))
-            assert (x, fx) == (0.0, 1.0)
+        # The search starts at 1, clipped into [lo, hi]: inside, at hi and at lo.
+        for lo, hi in ((0.0, 5.0), (0.0, 1.0), (0.0, 0.5), (2.0, 5.0)):
+            x, fx = minimize_scalar(ScalarProblem(quadratic(-1.0), lo, hi))
+            assert (x, fx) == (lo, (lo + 1.0) ** 2)
 
     def test_upper_bound_when_decreasing(self):
+        for lo, hi in ((0.0, 5.0), (0.0, 1.0), (2.0, 5.0), (0.0, 0.5)):
+            x, fx = minimize_scalar(ScalarProblem(quadratic(10.0), lo, hi))
+            assert (x, fx) == (hi, (hi - 10.0) ** 2)
         # Separable records: the NLL keeps falling as alpha grows.
-        ds = LogitDataset(np.array([[3.0, 0.0], [0.0, 2.0]]), np.array([0, 1]))
-        x, _ = minimize_scalar(ScalarProblem(lambda a: temperature_nll(ds, a), 0.01, 100.0))
+        problem = TemperatureProblem.of(LogitDataset(np.array([[3.0, 0.0], [0.0, 2.0]]), np.array([0, 1])))
+        x, _ = minimize_scalar(ScalarProblem(lambda a: temperature_nll(problem, a), 0.01, 100.0))
         assert x == 100.0
+
+    def test_stationary_start_is_returned(self):
+        x, fx = minimize_scalar(ScalarProblem(quadratic(1.0), 0.0, 5.0))
+        assert (x, fx) == (1.0, 0.0)
 
     def test_few_evaluations_on_nll(self):
         rng = np.random.default_rng(19)
-        ds = random_dataset(rng, n=1000)
+        problem = TemperatureProblem.of(random_dataset(rng, n=1000))
         calls = []
 
         def objective(a):
             calls.append(a)
-            return temperature_nll(ds, a)
+            return temperature_nll(problem, a)
 
         minimize_scalar(ScalarProblem(objective, 0.01, 100.0))
         assert len(calls) <= 12
@@ -133,17 +131,17 @@ class TestMinimizeScalar:
 
 class TestTemperatureGradient:
     def test_zero_on_symmetric_logits(self):
-        ds = LogitDataset(np.full((50, 4), 1.7), np.zeros(50, dtype=int))
+        problem = TemperatureProblem.of(LogitDataset(np.full((50, 4), 1.7), np.zeros(50, dtype=int)))
         for alpha in (0.1, 1.0, 10.0):
-            assert abs(temperature_nll(ds, alpha)[1]) < 1e-12
+            assert abs(temperature_nll(problem, alpha)[1]) < 1e-12
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            ds = random_dataset(rng, n=100, k=int(rng.integers(2, 8)))
+            problem = TemperatureProblem.of(random_dataset(rng, n=100, k=int(rng.integers(2, 8))))
             alpha = float(rng.uniform(0.1, 10))
-            grad = temperature_nll(ds, alpha)[1]
-            fd = (temperature_nll(ds, alpha + FD_STEP)[0] - temperature_nll(ds, alpha - FD_STEP)[0]) / (
+            grad = temperature_nll(problem, alpha)[1]
+            fd = (temperature_nll(problem, alpha + FD_STEP)[0] - temperature_nll(problem, alpha - FD_STEP)[0]) / (
                 2 * FD_STEP
             )
             assert rel_err(grad, fd) <= 1e-5
@@ -151,10 +149,10 @@ class TestTemperatureGradient:
     def test_curvature_matches_central_differences(self):
         rng = np.random.default_rng(20)
         for _ in range(20):
-            ds = random_dataset(rng, n=100, k=int(rng.integers(2, 8)))
+            problem = TemperatureProblem.of(random_dataset(rng, n=100, k=int(rng.integers(2, 8))))
             alpha = float(rng.uniform(0.1, 10))
-            curv = temperature_nll(ds, alpha)[2]
-            fd = (temperature_nll(ds, alpha + FD_STEP)[1] - temperature_nll(ds, alpha - FD_STEP)[1]) / (
+            curv = temperature_nll(problem, alpha)[2]
+            fd = (temperature_nll(problem, alpha + FD_STEP)[1] - temperature_nll(problem, alpha - FD_STEP)[1]) / (
                 2 * FD_STEP
             )
             assert curv >= 0.0
@@ -174,12 +172,12 @@ class TestTemperatureGradient:
             ds = LogitDataset(z, labels)
             alpha = fit_ts(ds).model.alpha
             assert 0.01 < alpha < 100.0
-            assert abs(temperature_nll(ds, alpha)[1]) <= 1e-4
+            assert abs(temperature_nll(TemperatureProblem.of(ds), alpha)[1]) <= 1e-4
 
     def test_matches_central_differences_on_slice(self):
         rng = np.random.default_rng(13)
         ds = random_dataset(rng, n=200)
-        part = ds.subset(np.flatnonzero(np.argmax(ds.logits, axis=1) == 2))
+        part = TemperatureProblem.of(ds.subset(np.flatnonzero(np.argmax(ds.logits, axis=1) == 2)))
         alpha = 1.7
         grad = temperature_nll(part, alpha)[1]
         fd = (temperature_nll(part, alpha + FD_STEP)[0] - temperature_nll(part, alpha - FD_STEP)[0]) / (
@@ -427,5 +425,5 @@ class TestTemperatureProblem:
             assert (problem.num_records, problem.num_classes) == (fresh.num_records, k)
             for alpha in sequence:
                 got = temperature_nll(problem, alpha)
-                for want in (temperature_nll(fresh, alpha), reference_temperature_nll(fresh, alpha)):
+                for want in (temperature_nll(TemperatureProblem.of(fresh), alpha), reference_temperature_nll(fresh, alpha)):
                     assert all(same_bits(a, b) for a, b in zip(got, want)), (alpha, got, want)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from calibkit.calibrate import FitConfig, fit_cts, fit_ts, fit_vs
 from calibkit.core import LogitDataset, softmax
-from calibkit.optim import SCALAR_TOL, temperature_nll
+from calibkit.optim import SCALAR_TOL, TemperatureProblem, temperature_nll
 
 CFG = FitConfig()
 TOL = SCALAR_TOL
@@ -32,7 +32,7 @@ def informative_dataset(seed, n=300, k=None):
 
 def kkt_holds(ds, alpha, lo, hi):
     """Stationary to within a Newton step of TOL, or on a bound with f' pointing outward."""
-    _, g, h = temperature_nll(ds, alpha)
+    _, g, h = temperature_nll(TemperatureProblem.of(ds), alpha)
     if alpha == lo and g >= 0:
         return True
     if alpha == hi and g <= 0:
