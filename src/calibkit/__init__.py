@@ -30,11 +30,8 @@ from .metrics import (
     BinnedStats,
     BinningConfig,
     MetricsReport,
-    avg_ece,
     bin_stats,
     compute_report,
-    ece,
-    max_ece,
     nll,
     reliability_rows,
 )

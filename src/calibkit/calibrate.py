@@ -5,10 +5,11 @@ on the validation NLL. Class-wise temperature scaling (CTS) ties one
 temperature per predicted class to the shared TS temperature alpha0 within
 radius gamma. With alpha0 fixed the CTS objective splits by predicted class,
 so every gamma runs the same scalar search once per predicted-class slice on
-[max(alpha0 - gamma, alpha_lo), alpha0 + gamma]: gamma = 0 collapses to TS
-and gamma = inf searches the full bounds. Each search evaluates one
-`optim.TemperatureProblem`, prepared before it starts; the class slices
-are contiguous runs of one gather of the shifted logits in class order.
+[max(alpha0 - gamma, alpha_lo), min(alpha0 + gamma, alpha_hi)]: gamma = 0
+collapses to TS and gamma = inf searches the full bounds. Each search
+evaluates one `optim.TemperatureProblem`, prepared before it starts; the
+class slices are contiguous runs of one gather of the shifted logits in
+class order.
 Vector scaling (VS) fits a per-class scale and bias by one L-BFGS solve
 from the TS solution and may change predictions; temperature variants
 never do. Each fit hands its solver only the problem; constants in
@@ -155,10 +156,11 @@ def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     temperatures by. The shifted logits are gathered once in class order,
     and each non-empty slice, a contiguous run of those rows, gets its own
     temperature, minimizing that slice's NLL on
-    [max(alpha0 - gamma, alpha_lo), alpha0 + gamma] (on [alpha_lo, alpha_hi]
-    when gamma = inf); this is the joint optimum, because the objective is a
-    sum of per-slice terms. Empty slices keep alpha0, and gamma = 0 copies
-    alpha0 into every class. At gamma = inf a slice with fewer than
+    [max(alpha0 - gamma, alpha_lo), min(alpha0 + gamma, alpha_hi)], which is
+    [alpha_lo, alpha_hi] when gamma = inf, so no class temperature leaves
+    [alpha_lo, alpha_hi]; this is the joint optimum, because the objective
+    is a sum of per-slice terms. Empty slices keep alpha0, and gamma = 0
+    copies alpha0 into every class. At gamma = inf a slice with fewer than
     `min_class_samples` records also keeps alpha0 and is flagged as a
     fallback.
     """
@@ -166,11 +168,9 @@ def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
         raise EmptyDatasetError("cannot fit on an empty validation set")
     alpha0, evals = _scalar_fit(TemperatureProblem.of(val), cfg)
     warnings = _boundary_warnings("CTS shared", alpha0, cfg)
+    # At gamma = inf this is [alpha_lo, alpha_hi].
+    bounds = (max(alpha0 - cfg.gamma, cfg.alpha_lo), min(alpha0 + cfg.gamma, cfg.alpha_hi))
     decoupled = math.isinf(cfg.gamma)
-    if decoupled:
-        bounds = (cfg.alpha_lo, cfg.alpha_hi)
-    else:
-        bounds = (max(alpha0 - cfg.gamma, cfg.alpha_lo), alpha0 + cfg.gamma)
 
     alphas = np.full(val.num_classes, alpha0)
     fallbacks = []

@@ -227,6 +227,8 @@ def cmd_reliability(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if _sidecar_path(args.out) == args.out:
+        raise ConfigError(f"--out {args.out!r} is the path of its own JSON sidecar; give it another extension")
     sidecar = {"kind": args.kind, "seed": args.seed}
     if args.kind == "dnoisy":
         direction = np.zeros(args.dim)

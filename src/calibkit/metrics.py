@@ -4,15 +4,18 @@ Equal-width confidence binning, the binned expected calibration error (ECE),
 its per-predicted-class variants max-ECE and Avg-ECE, negative log-likelihood,
 and reliability-diagram aggregates. Every metric of a (dataset, model) pair
 is read off one `core.predict` pass: the NLL is the mean of its per-record
-`nll` from `core.softmax_nll`, the kernel the fits minimize, and the
-per-class ECEs come from `compute_report`, which gathers that pass's
-records in class order once and bins every class with one `np.bincount`.
+`nll` from `core.softmax_nll`, the kernel the fits minimize. Every binned
+number comes from one table and one formula: `_bin_sums` counts records,
+confidence and correct predictions per (group, bin) cell with one
+`np.bincount` triple, and `_eces` turns a table into one ECE per group. The
+whole set is the one-group table; `compute_report` bins the pass once and
+gathers its records in class order for the per-class table, whose maximum
+and mean are max-ECE and Avg-ECE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -33,9 +36,6 @@ __all__ = [
     "PerClassStats",
     "MetricsReport",
     "bin_stats",
-    "ece",
-    "max_ece",
-    "avg_ece",
     "nll",
     "reliability_rows",
     "compute_report",
@@ -80,56 +80,47 @@ class BinnedStats:
     counts: np.ndarray
     mean_confidence: np.ndarray
     mean_accuracy: np.ndarray
-    total: int
 
     @property
     def num_bins(self) -> int:
         return self.counts.shape[0]
 
 
-def bin_stats(preds: PredictionSet, binning: BinningConfig) -> BinnedStats:
-    """Assign each record to a confidence bin and aggregate counts and means."""
-    m, confidence = binning.num_bins, preds.confidence
-    idx = binning.bin_indices(confidence)
-    counts = np.bincount(idx, minlength=m)
-    conf_sums = np.bincount(idx, weights=confidence, minlength=m)
-    acc_sums = np.bincount(idx, weights=np.asarray(preds.correct, dtype=np.float64), minlength=m)
-    with np.errstate(invalid="ignore"):
-        mean_conf = np.where(counts > 0, conf_sums / np.maximum(counts, 1), np.nan)
-        mean_acc = np.where(counts > 0, acc_sums / np.maximum(counts, 1), np.nan)
-    return BinnedStats(
-        counts=counts,
-        mean_confidence=mean_conf,
-        mean_accuracy=mean_acc,
-        total=int(confidence.shape[0]),
+def _bin_sums(
+    cells: np.ndarray, confidence: np.ndarray, correct: np.ndarray, groups: int, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Record counts, confidence sums and correct counts per cell, as (groups, m) arrays.
+
+    `cells` holds each record's cell, group * m + bin. A cell adds its
+    records in the order given.
+    """
+    return tuple(
+        np.bincount(cells, weights=w, minlength=groups * m).reshape(groups, m)
+        for w in (None, confidence, correct)
     )
 
 
-def ece(stats: BinnedStats) -> float:
-    """Binned expected calibration error: sum_i (n_i/N) |acc_i - conf_i|.
+def _eces(counts: np.ndarray, conf_sums: np.ndarray, acc_sums: np.ndarray, sizes: np.ndarray) -> list[float]:
+    """Binned ECE of each group: sum over occupied bins of (n_i/n) |acc_i - conf_i|, in bin order.
 
-    Empty bins contribute nothing. Result lies in [0, 1].
+    `sizes` holds each group's record count n. Empty bins contribute
+    nothing, and an empty group's ECE is 0.
     """
-    if stats.total == 0:
-        raise EmptyDatasetError("ECE is undefined on an empty dataset")
-    mask = stats.counts > 0
-    weights = stats.counts[mask] / stats.total
-    gaps = np.abs(stats.mean_accuracy[mask] - stats.mean_confidence[mask])
-    return float(np.sum(weights * gaps))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = counts / sizes[:, None] * np.abs(acc_sums / counts - conf_sums / counts)
+    return [float(np.sum(row[n > 0])) for row, n in zip(terms, counts)]
 
 
-def max_ece(class_eces: Mapping[int, float]) -> float:
-    """Maximum per-class ECE over classes with at least one predicted sample."""
-    if not class_eces:
-        raise EmptyDatasetError("max-ECE needs at least one non-empty class")
-    return float(max(class_eces.values()))
-
-
-def avg_ece(class_eces: Mapping[int, float]) -> float:
-    """Unweighted mean of per-class ECEs over non-empty classes."""
-    if not class_eces:
-        raise EmptyDatasetError("Avg-ECE needs at least one non-empty class")
-    return float(np.mean(list(class_eces.values())))
+def bin_stats(preds: PredictionSet, binning: BinningConfig) -> BinnedStats:
+    """Assign each record to a confidence bin and aggregate counts and means."""
+    confidence = preds.confidence
+    counts, conf_sums, acc_sums = (
+        a[0] for a in _bin_sums(binning.bin_indices(confidence), confidence, preds.correct, 1, binning.num_bins)
+    )
+    with np.errstate(invalid="ignore"):
+        mean_conf = np.where(counts > 0, conf_sums / np.maximum(counts, 1), np.nan)
+        mean_acc = np.where(counts > 0, acc_sums / np.maximum(counts, 1), np.nan)
+    return BinnedStats(counts=counts, mean_confidence=mean_conf, mean_accuracy=mean_acc)
 
 
 def nll(dataset: LogitDataset, model: CalibrationModel = Identity()) -> float:
@@ -203,60 +194,57 @@ def compute_report(
 
     `per_class` has one entry per predicted class, in class order; classes
     never predicted are left out (with a warning) rather than reported as
-    zero. The pass's records are gathered once in class order
-    (`core.class_order`); one `np.bincount` over (class, bin) cells per
-    block of classes gives every class's bin counts and sums, and each
-    class's accuracy and mean confidence come from its contiguous run.
+    zero. The pass's records are binned once. The overall ECE is the
+    one-group table in record order. The records are then gathered once in
+    class order (`core.class_order`); one `_bin_sums` over (class, bin)
+    cells per block of classes gives every class's table, and each class's
+    accuracy and mean confidence come from its contiguous run.
     """
     if dataset.num_records == 0:
         raise EmptyDatasetError("cannot evaluate metrics on an empty dataset")
     preds = predict(dataset, model)
-    overall_ece = ece(bin_stats(preds, binning))
     num_classes, accuracy, mean_nll, predicted = preds.num_classes, preds.accuracy, preds.mean_nll, preds.predicted
+    confidence, correct = preds.confidence, preds.correct
+    del preds  # the metrics need none of its N x K probabilities
+    m = binning.num_bins
+    bins = binning.bin_indices(confidence)
+    (overall_ece,) = _eces(*_bin_sums(bins, confidence, correct, 1, m), np.array([len(bins)]))
 
     order, bounds = class_order(predicted, num_classes)
-    confidence, correct = preds.confidence[order], preds.correct[order]
-    del preds  # the per-class statistics need none of its N x K probabilities
-    m = binning.num_bins
+    confidence, correct = confidence[order], correct[order]
     # (class, bin) cell of each record, in class order; a cell adds its records in
-    # ascending order, as a bincount over one class's records would.
-    cells = predicted[order] * m + binning.bin_indices(confidence)
+    # ascending order, as a table over one class's records would.
+    cells = predicted[order] * m + bins[order]
     block = max(1, _MAX_CELLS // m)
     per_class = []
     warnings = []
     for first in range(0, num_classes, block):
         classes = range(first, min(first + block, num_classes))
         a, b = bounds[first], bounds[classes.stop]
-        counts, conf_sums, acc_sums = (
-            np.bincount(cells[a:b] - first * m, weights=w, minlength=len(classes) * m).reshape(len(classes), m)
-            for w in (None, confidence[a:b], correct[a:b])
-        )
         sizes = np.diff(bounds[first : classes.stop + 1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = counts / sizes[:, None] * np.abs(acc_sums / counts - conf_sums / counts)
-        for k, size in zip(classes, sizes.tolist()):
+        block_eces = _eces(*_bin_sums(cells[a:b] - first * m, confidence[a:b], correct[a:b], len(classes), m), sizes)
+        for k, size, class_ece in zip(classes, sizes.tolist(), block_eces):
             if size == 0:
                 warnings.append(f"class {k} was never predicted; excluded from max/Avg-ECE")
                 continue
-            run, row = slice(bounds[k], bounds[k + 1]), k - first
+            run = slice(bounds[k], bounds[k + 1])
             per_class.append(
                 PerClassStats(
                     class_index=k,
                     count=size,
-                    # As `ece`: the weighted gaps of the occupied bins, in bin order.
-                    ece=float(np.sum(terms[row][counts[row] > 0])),
+                    ece=class_ece,
                     accuracy=float(np.count_nonzero(correct[run]) / size),
                     # sum() / n is np.mean's arithmetic.
                     mean_confidence=float(confidence[run].sum() / size),
                 )
             )
-    eces = {row.class_index: row.ece for row in per_class}
+    eces = [row.ece for row in per_class]
 
     return MetricsReport(
         accuracy=accuracy,
         ece=overall_ece,
-        max_ece=max_ece(eces),
-        avg_ece=avg_ece(eces),
+        max_ece=max(eces),
+        avg_ece=float(np.mean(eces)),
         nll=mean_nll,
         per_class=per_class,
         predicted=predicted,

@@ -27,6 +27,7 @@ from calibkit.core import (
 from calibkit.errors import ConfigError, EmptyDatasetError, InvalidModelError, OptimizationError
 from calibkit.metrics import compute_report, nll
 from calibkit.optim import (
+    SCALAR_TOL,
     ScalarProblem,
     TemperatureProblem,
     minimize_scalar,
@@ -292,6 +293,25 @@ class TestFitCTS:
             if 1 not in fit.fallback_classes:
                 assert fit.model.alphas[1] == slice_fit.model.alpha
 
+    def test_large_finite_gamma_stays_inside_the_bounds(self):
+        # Class 0 is always right, so its NLL falls as its temperature grows;
+        # class 1 has random labels. alpha0 + 1000 lies far past alpha_hi.
+        rng = np.random.default_rng(52)
+        logits = np.vstack([np.tile([2.0, 0.0], (100, 1)), np.tile([0.0, 2.0], (100, 1))])
+        val = LogitDataset(logits, np.concatenate([np.zeros(100, dtype=int), rng.integers(0, 2, 100)]))
+        cfg = FitConfig(gamma=1000.0)
+        fit = fit_cts(val, cfg)
+        assert np.all(fit.model.alphas <= cfg.alpha_hi)
+        assert fit.model.alphas[0] >= cfg.alpha_hi - 10 * SCALAR_TOL
+        assert any(w.startswith("CTS class 0 temperature") for w in fit.warnings)
+        for w in fit.warnings:
+            alpha = float(w.split(" temperature ")[1].split()[0])
+            assert cfg.alpha_lo <= alpha <= cfg.alpha_hi, w
+        # Both radii reach past [alpha_lo, alpha_hi], so both search exactly that interval.
+        inf = fit_cts(val, FitConfig(gamma=math.inf))
+        assert fit.model.alphas.tobytes() == inf.model.alphas.tobytes()
+        assert fit.warnings == inf.warnings
+
     def test_accuracy_preserved_exactly(self):
         rng = np.random.default_rng(51)
         ds = LogitDataset(rng.normal(size=(3000, 4)) * 2, rng.integers(0, 4, 3000))
@@ -441,10 +461,7 @@ def reference_fit_cts(val, cfg):
         return minimize_scalar(ScalarProblem(objective, lo, hi))[0]
 
     alpha0 = solve(val, cfg.alpha_lo, cfg.alpha_hi)
-    if math.isinf(cfg.gamma):
-        lo, hi = cfg.alpha_lo, cfg.alpha_hi
-    else:
-        lo, hi = max(alpha0 - cfg.gamma, cfg.alpha_lo), alpha0 + cfg.gamma
+    lo, hi = max(alpha0 - cfg.gamma, cfg.alpha_lo), min(alpha0 + cfg.gamma, cfg.alpha_hi)
     alphas, fallbacks = np.full(val.num_classes, alpha0), []
     if lo < hi:
         for k in range(val.num_classes):

@@ -783,6 +783,13 @@ class TestSynthCommand:
         assert code == 2 and f"got {trials}" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("kind", ["theorem1", "dnoisy", "hetero"])
+    def test_out_that_is_its_own_sidecar_exits_2(self, tmp_path, kind):
+        code, err = run_main(["synth", "--kind", kind, "--seed", "1", "--n", "20", "--classes", "2",
+                              "--sizes", "5", "--out", str(tmp_path / "t.json")])
+        assert code == 2 and err.startswith("error: --out ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "flag, value, shown",
         [("--margin", "inf", "margin"), ("--scales", "inf", "scales"), ("--scales", "1,inf", "scales")],

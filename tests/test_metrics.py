@@ -17,13 +17,9 @@ from calibkit.core import (
 from calibkit.calibrate import fit_cts, fit_ts, fit_vs
 from calibkit.errors import ConfigError, EmptyDatasetError, InvalidInputError
 from calibkit.metrics import (
-    BinnedStats,
     BinningConfig,
-    avg_ece,
     bin_stats,
     compute_report,
-    ece,
-    max_ece,
     nll,
     reliability_rows,
 )
@@ -86,14 +82,14 @@ class TestBinning:
     def test_empty_prediction_set_gives_zero_bins(self):
         ds = LogitDataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
         stats = bin_stats(predict(ds, Identity()), BinningConfig(5))
-        assert stats.total == 0
+        assert stats.num_bins == 5
         np.testing.assert_array_equal(stats.counts, np.zeros(5, dtype=int))
 
     def test_counts_sum_to_total(self):
         rng = np.random.default_rng(20)
         ds = LogitDataset(rng.normal(size=(10_000, 6)), rng.integers(0, 6, 10_000))
         stats = bin_stats(predict(ds, Identity()), BinningConfig(15))
-        assert stats.counts.sum() == 10_000 == stats.total
+        assert stats.counts.sum() == 10_000
 
     def test_mean_confidence_lies_in_bin(self):
         rng = np.random.default_rng(21)
@@ -120,27 +116,51 @@ class TestBinning:
         )
 
 
+def reference_ece(preds, num_bins):
+    """(counts, mean confidence, mean accuracy, ECE) of a prediction pass, binned here in record order.
+
+    Bin i >= 1 holds confidences in ((i-1)/M, i/M]; the means are NaN on
+    empty bins, and the ECE sums (n_i/N) |acc_i - conf_i| over the occupied
+    bins in bin order.
+    """
+    conf = preds.confidence
+    bins = np.clip(np.ceil(conf * num_bins).astype(np.int64), 1, num_bins) - 1
+    counts = np.bincount(bins, minlength=num_bins)
+    conf_sums = np.bincount(bins, weights=conf, minlength=num_bins)
+    acc_sums = np.bincount(bins, weights=preds.correct.astype(np.float64), minlength=num_bins)
+    with np.errstate(invalid="ignore"):
+        mean_conf = np.where(counts > 0, conf_sums / np.maximum(counts, 1), np.nan)
+        mean_acc = np.where(counts > 0, acc_sums / np.maximum(counts, 1), np.nan)
+    occupied = counts > 0
+    gaps = np.abs(mean_acc[occupied] - mean_conf[occupied])
+    return counts, mean_conf, mean_acc, float(np.sum(counts[occupied] / conf.size * gaps))
+
+
+def report_of(ds, num_bins):
+    """`compute_report` of the raw logits with `num_bins` bins."""
+    return compute_report(ds, Identity(), BinningConfig(num_bins))
+
+
 class TestEce:
     def test_empty_dataset_rejected(self):
-        stats = BinnedStats(np.zeros(5, dtype=int), np.full(5, np.nan), np.full(5, np.nan), 0)
+        ds = LogitDataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
         with pytest.raises(EmptyDatasetError):
-            ece(stats)
+            compute_report(ds)
 
     def test_perfectly_calibrated_bins_give_zero(self):
         probs = [[0.75, 0.25]] * 100
         labels = [0] * 75 + [1] * 25
-        _, preds = preds_from_probs(probs, labels)
-        assert ece(bin_stats(preds, BinningConfig(10))) <= 1e-12
+        ds, _ = preds_from_probs(probs, labels)
+        assert report_of(ds, 10).ece <= 1e-12
 
     def test_merged_bin_worked_example(self):
         # Two classes at confidences 0.6/0.4 vs 0.54/0.50, accuracies
         # 0.52/0.48. One shared bin: the first variant cancels exactly, the
         # second is over-confident by 0.02.
-        _, preds_shared = two_class_fixture(0.6, 0.4)
-        _, preds_classwise = two_class_fixture(0.54, 0.5)
-        one_bin = BinningConfig(1)
-        assert abs(ece(bin_stats(preds_shared, one_bin))) <= 1e-12
-        assert abs(ece(bin_stats(preds_classwise, one_bin)) - 0.02) <= 1e-12
+        ds_shared, _ = two_class_fixture(0.6, 0.4)
+        ds_classwise, _ = two_class_fixture(0.54, 0.5)
+        assert abs(report_of(ds_shared, 1).ece) <= 1e-12
+        assert abs(report_of(ds_classwise, 1).ece - 0.02) <= 1e-12
 
     def test_bounded_on_random_data(self):
         rng = np.random.default_rng(23)
@@ -148,7 +168,7 @@ class TestEce:
             n = int(rng.integers(1, 500))
             k = int(rng.integers(2, 6))
             ds = LogitDataset(rng.normal(size=(n, k)) * 3, rng.integers(0, k, n))
-            value = ece(bin_stats(predict(ds, Identity()), BinningConfig(15)))
+            value = report_of(ds, 15).ece
             assert 0.0 <= value <= 1.0
 
 
@@ -175,11 +195,9 @@ class TestClassEce:
         logits = rng.normal(size=(300, 4))
         logits[:, 2] += 30  # force every prediction to class 2
         ds = LogitDataset(logits, rng.integers(0, 4, 300))
-        preds = predict(ds, Identity())
-        binning = BinningConfig(15)
-        eces = class_eces(ds, binning)
-        assert set(eces) == {2}
-        assert abs(eces[2] - ece(bin_stats(preds, binning))) <= 1e-15
+        report = report_of(ds, 15)
+        assert [row.class_index for row in report.per_class] == [2]
+        assert abs(report.per_class[0].ece - report.ece) <= 1e-15
 
     def test_empty_classes_absent_not_zero(self):
         ds, _ = two_class_fixture(0.6, 0.4)
@@ -187,45 +205,58 @@ class TestClassEce:
         assert 2 not in eces  # class 2 never predicted
 
 
+def saturated(counts_correct):
+    """Records at confidence exactly 1, one (predicted class, records, correct) triple per class.
+
+    A logit gap of 800 saturates the softmax, so every ECE is exactly
+    1 - accuracy. Mis-labeled records use the last class, never predicted.
+    """
+    k = len(counts_correct) + 1
+    logits, labels = [], []
+    for c, (n, right) in enumerate(counts_correct):
+        row = np.zeros(k)
+        row[c] = 800.0
+        logits += [row] * n
+        labels += [c] * right + [k - 1] * (n - right)
+    return LogitDataset(np.array(logits), np.array(labels))
+
+
 class TestMaxAvgEce:
     def test_worked_example_max(self):
         ds, _ = two_class_fixture(0.6, 0.4)
-        eces = class_eces(ds, BinningConfig(1))
-        assert abs(max_ece(eces) - 0.08) <= 1e-12
+        assert abs(report_of(ds, 1).max_ece - 0.08) <= 1e-12
 
     def test_equal_values(self):
-        assert max_ece({0: 0.02, 1: 0.02}) == 0.02
-        assert avg_ece({0: 0.08, 1: 0.08}) == 0.08
+        # 48/50 and 24/25 are one double, so both classes have one ECE.
+        report = report_of(saturated([(50, 48), (25, 24)]), 15)
+        assert [row.ece for row in report.per_class] == [1.0 - 24 / 25] * 2
+        assert report.max_ece == report.avg_ece == 1.0 - 24 / 25
 
     def test_avg_arithmetic_mean(self):
-        assert abs(avg_ece({0: 0.0, 1: 0.04}) - 0.02) <= 1e-15
+        # Class ECEs 0 and 0.04.
+        report = report_of(saturated([(40, 40), (25, 24)]), 15)
+        assert abs(report.avg_ece - 0.02) <= 1e-15
 
     def test_max_matches_bruteforce_recomputation(self):
         rng = np.random.default_rng(25)
         ds = LogitDataset(rng.normal(size=(2000, 10)) * 2, rng.integers(0, 10, 2000))
         preds = predict(ds, Identity())
-        binning = BinningConfig(15)
-        eces = class_eces(ds, binning)
         brute = -1.0
         for k in range(ds.num_classes):
             idx = np.flatnonzero(preds.predicted == k)
             if idx.size == 0:
                 continue
             sub = LogitDataset(ds.logits[idx], ds.labels[idx])
-            brute = max(brute, ece(bin_stats(predict(sub, Identity()), binning)))
-        assert abs(max_ece(eces) - brute) <= 1e-12
+            brute = max(brute, reference_ece(predict(sub, Identity()), 15)[3])
+        assert abs(report_of(ds, 15).max_ece - brute) <= 1e-12
 
     def test_avg_never_exceeds_max(self):
         rng = np.random.default_rng(26)
         for _ in range(30):
-            eces = {i: float(v) for i, v in enumerate(rng.random(rng.integers(1, 8)))}
-            assert avg_ece(eces) <= max_ece(eces) + 1e-15
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyDatasetError):
-            max_ece({})
-        with pytest.raises(EmptyDatasetError):
-            avg_ece({})
+            k = int(rng.integers(2, 8))
+            ds = LogitDataset(rng.normal(size=(300, k)) * 3, rng.integers(0, k, 300))
+            report = report_of(ds, 15)
+            assert report.avg_ece <= report.max_ece + 1e-15
 
 
 class TestNll:
@@ -425,6 +456,11 @@ class TestPerClassReport:
         eces = [row[2] for row in want]
         assert same_float(report.max_ece, float(max(eces)))
         assert same_float(report.avg_ece, float(np.mean(eces)))
+        counts, mean_conf, mean_acc, overall = reference_ece(preds, num_bins)
+        assert same_float(report.ece, overall)
+        stats = bin_stats(preds, BinningConfig(num_bins))
+        for g, w in ((stats.counts, counts), (stats.mean_confidence, mean_conf), (stats.mean_accuracy, mean_acc)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         never = sorted(set(range(k)) - {row[0] for row in want})
         assert report.warnings == [f"class {c} was never predicted; excluded from max/Avg-ECE" for c in never]
 

@@ -8,7 +8,7 @@ import pytest
 from calibkit import synthetic
 from calibkit.core import Identity, predict
 from calibkit.errors import ConfigError, DegenerateNoiseError
-from calibkit.metrics import BinningConfig, bin_stats, ece
+from calibkit.metrics import BinningConfig, compute_report
 from calibkit.optim import GradientProblem, projected_gd
 from calibkit.synthetic import (
     BinaryDataset,
@@ -337,7 +337,7 @@ class TestGenHeteroLogits:
         spec = hetero_spec(class_sizes=np.full(10, 10_000))
         ds = gen_hetero_logits(spec).val
         preds = predict(ds, Identity())
-        assert ece(bin_stats(preds, BinningConfig(15))) <= 0.02
+        assert compute_report(ds, Identity(), BinningConfig(15)).ece <= 0.02
         # Bayes-posterior oracle: within each bin the mean posterior of the
         # predicted class tracks both the mean confidence (construction) and
         # the empirical accuracy (sampling noise).
