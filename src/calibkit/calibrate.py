@@ -4,11 +4,11 @@ Temperature scaling (TS) tunes one scalar by a bounded convex scalar search
 on the validation NLL. Class-wise temperature scaling (CTS) ties one
 temperature per predicted class to the shared TS temperature alpha0 within
 radius gamma. With alpha0 fixed the CTS objective splits by predicted class,
-so every gamma runs the same scalar search once per predicted-class slice on
-[max(alpha0 - gamma, alpha_lo), min(alpha0 + gamma, alpha_hi)]: gamma = 0
-collapses to TS and gamma = inf searches the full bounds. Each search
-evaluates one `optim.TemperatureProblem`, prepared before it starts; the
-class slices are contiguous runs of one gather of the shifted logits in
+and each class's NLL is convex in its temperature, so every gamma > 0 runs
+one scalar search per predicted-class slice on [alpha_lo, alpha_hi] and
+clips its result to alpha0 +/- gamma; gamma = 0 collapses to TS. Each
+search evaluates one `optim.TemperatureProblem`, prepared before it starts;
+the class slices are contiguous runs of one gather of the shifted logits in
 class order.
 Vector scaling (VS) fits a per-class scale and bias by one L-BFGS solve
 from the TS solution and may change predictions; temperature variants
@@ -65,8 +65,8 @@ __all__ = [
 class FitConfig:
     """Search bounds, the multi-task radius, and the per-class fallback size.
 
-    `alpha_lo`/`alpha_hi` bound the shared temperature (and each per-class
-    search), with 0 < alpha_lo < alpha_hi < inf: the scalar search needs a
+    `alpha_lo`/`alpha_hi` bound the shared temperature and each per-class
+    search, with 0 < alpha_lo < alpha_hi < inf: the scalar search needs a
     finite interval of positive length. The defaults are wide enough that no
     sane fixture ends up on a boundary; boundary hits are reported as
     warnings, not errors. `gamma` lies in [0, inf] and `min_class_samples`
@@ -110,15 +110,12 @@ def _boundary_warnings(name: str, alpha: float, cfg: FitConfig) -> list[str]:
     return []
 
 
-def _scalar_fit(
-    problem: TemperatureProblem, cfg: FitConfig, bounds: tuple[float, float] | None = None
-) -> tuple[float, int]:
-    """Temperature minimizing the NLL of `problem`'s records, and the evaluations used.
+def _scalar_fit(problem: TemperatureProblem, cfg: FitConfig) -> tuple[float, int]:
+    """Temperature minimizing the NLL of `problem`'s records on [alpha_lo, alpha_hi], and the evaluations used.
 
     Every search starts at alpha = 1, so a predicted-class slice's result
-    depends only on that slice. `bounds` defaults to [alpha_lo, alpha_hi].
+    depends only on that slice.
     """
-    lo, hi = bounds if bounds is not None else (cfg.alpha_lo, cfg.alpha_hi)
     evals = 0
 
     def objective(alpha: float) -> tuple[float, float, float]:
@@ -126,7 +123,7 @@ def _scalar_fit(
         evals += 1
         return temperature_nll(problem, alpha)
 
-    alpha, _ = minimize_scalar(ScalarProblem(objective, lo, hi))
+    alpha, _ = minimize_scalar(ScalarProblem(objective, cfg.alpha_lo, cfg.alpha_hi))
     return alpha, evals
 
 
@@ -155,35 +152,31 @@ def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     logits (`LogitDataset.top`), the rule `predict` routes class
     temperatures by. The shifted logits are gathered once in class order,
     and each non-empty slice, a contiguous run of those rows, gets its own
-    temperature, minimizing that slice's NLL on
-    [max(alpha0 - gamma, alpha_lo), min(alpha0 + gamma, alpha_hi)], which is
-    [alpha_lo, alpha_hi] when gamma = inf, so no class temperature leaves
-    [alpha_lo, alpha_hi]; this is the joint optimum, because the objective
-    is a sum of per-slice terms. Empty slices keep alpha0, and gamma = 0
-    copies alpha0 into every class. At gamma = inf a slice with fewer than
-    `min_class_samples` records also keeps alpha0 and is flagged as a
-    fallback.
+    temperature: one search of that slice's NLL on [alpha_lo, alpha_hi],
+    clipped to [alpha0 - gamma, alpha0 + gamma]. The NLL is convex in the
+    temperature, so the clipped optimum is the slice's optimum on the
+    intersection of the two intervals, and the objective is a sum of
+    per-slice terms, so this is the joint optimum. Empty slices keep
+    alpha0, and gamma = 0 copies alpha0 into every class without a search.
+    At gamma = inf a slice with fewer than `min_class_samples` records also
+    keeps alpha0 and is flagged as a fallback.
     """
     if val.num_records == 0:
         raise EmptyDatasetError("cannot fit on an empty validation set")
     alpha0, evals = _scalar_fit(TemperatureProblem.of(val), cfg)
     warnings = _boundary_warnings("CTS shared", alpha0, cfg)
-    # At gamma = inf this is [alpha_lo, alpha_hi].
-    bounds = (max(alpha0 - cfg.gamma, cfg.alpha_lo), min(alpha0 + cfg.gamma, cfg.alpha_hi))
-    decoupled = math.isinf(cfg.gamma)
-
-    alphas = np.full(val.num_classes, alpha0)
-    fallbacks = []
-    if bounds[0] < bounds[1]:
+    alphas, fallbacks = np.full(val.num_classes, alpha0), []
+    if cfg.gamma > 0:
         order, starts = class_order(val.top[0], val.num_classes)
         problem = TemperatureProblem.of(val, order)
         for k, (start, stop) in enumerate(zip(starts, starts[1:])):
-            if decoupled and stop - start < cfg.min_class_samples:
+            if math.isinf(cfg.gamma) and stop - start < cfg.min_class_samples:
                 fallbacks.append(k)
                 continue
             if stop == start:
                 continue
-            alphas[k], used = _scalar_fit(problem.rows(start, stop), cfg, bounds)
+            alpha, used = _scalar_fit(problem.rows(start, stop), cfg)
+            alphas[k] = min(max(alpha, alpha0 - cfg.gamma), alpha0 + cfg.gamma)
             evals += used
             warnings += _boundary_warnings(f"CTS class {k}", alphas[k], cfg)
         del problem  # the class solves are done: free their arrays before the final predict pass

@@ -88,6 +88,22 @@ def _sidecar_path(out: str) -> str:
     return (stem if ext else out) + ".json"
 
 
+def _check_outputs(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> None:
+    """Raise ConfigError if an output flag names the file of an input flag or of another output.
+
+    Flags are given by their argparse names; unset ones are skipped. Paths
+    are compared after `os.path.realpath`. Commands call this before they
+    read or write any file.
+    """
+    seen = {}
+    for dest in [d for d in inputs + outputs if getattr(args, d) is not None]:
+        path = getattr(args, dest)
+        flag, real = "--" + dest.replace("_", "-"), os.path.realpath(path)
+        if dest in outputs and real in seen:
+            raise ConfigError(f"{flag} {path!r} is the same file as {seen[real]}; give {flag} another path")
+        seen.setdefault(real, flag)
+
+
 def _fmt(value: float, percent: bool) -> str:
     return f"{100 * value:.4f}%" if percent else f"{value:.6f}"
 
@@ -136,7 +152,12 @@ def _per_class_table(num_classes: int, before, after) -> list[dict]:
     return table
 
 
+# Stored in the report as `<name>_before`/`<name>_after` pairs and printed in the summary, in this order.
+_SUMMARY_METRICS = ("ece", "max_ece", "avg_ece", "nll")
+
+
 def cmd_calibrate(args) -> int:
+    _check_outputs(args, ("val", "test"), ("out_report", "out_model"))
     cfg = _fit_config(args)
     binning = BinningConfig(args.bins)
     val = kio.read_logit_csv(args.val)
@@ -167,14 +188,8 @@ def cmd_calibrate(args) -> int:
         "accuracy_before": report_before.accuracy,
         "accuracy_after": report_after.accuracy,
         "changed_records": changed,
-        "ece_before": report_before.ece,
-        "ece_after": report_after.ece,
-        "max_ece_before": report_before.max_ece,
-        "max_ece_after": report_after.max_ece,
-        "avg_ece_before": report_before.avg_ece,
-        "avg_ece_after": report_after.avg_ece,
-        "nll_before": report_before.nll,
-        "nll_after": report_after.nll,
+        **{f"{name}_{when}": getattr(report, name) for name in _SUMMARY_METRICS
+           for when, report in (("before", report_before), ("after", report_after))},
         "per_class": _per_class_table(test.num_classes, report_before, report_after),
         "warnings": warnings,
         "config": {
@@ -192,7 +207,7 @@ def cmd_calibrate(args) -> int:
     }
     kio.write_json(doc, args.out_report)
     if args.out_model:
-        kio.write_json(cal.model_to_dict(model, test.num_classes), args.out_model)
+        kio.write_json(doc["model"], args.out_model)
 
     p = args.percent
     print(f"method={args.method}  records={test.num_records}  classes={test.num_classes}")
@@ -200,17 +215,16 @@ def cmd_calibrate(args) -> int:
         f"accuracy {_fmt(report_before.accuracy, p)} -> {_fmt(report_after.accuracy, p)}"
         f"  (changed {changed} predictions, delta {_fmt(delta, p)})"
     )
-    for name in ("ece", "max_ece", "avg_ece", "nll"):
-        b = doc[f"{name}_before"]
-        a = doc[f"{name}_after"]
+    for name in _SUMMARY_METRICS:
         unit = p and name != "nll"
-        print(f"{name:8s} {_fmt(b, unit)} -> {_fmt(a, unit)}")
+        print(f"{name:8s} {_fmt(doc[f'{name}_before'], unit)} -> {_fmt(doc[f'{name}_after'], unit)}")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
 
 
 def cmd_reliability(args) -> int:
+    _check_outputs(args, ("file", "model"), ("out",))
     binning = BinningConfig(args.bins)
     dataset = kio.read_logit_csv(args.file)
     model = Identity()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from calibkit import optim
+from calibkit import calibrate, optim
 from calibkit.calibrate import (
     FitConfig,
     fit_cts,
@@ -447,30 +447,33 @@ class TestSerialization:
 
 
 def reference_fit_cts(val, cfg):
-    """(alpha0, alphas, evaluations, fallbacks) with each class fitted on `val.subset(idx)`."""
-    evals = 0
-
-    def solve(ds, lo, hi):
-        problem = TemperatureProblem.of(ds)
-
-        def objective(alpha):
-            nonlocal evals
-            evals += 1
-            return temperature_nll(problem, alpha)
-
-        return minimize_scalar(ScalarProblem(objective, lo, hi))[0]
-
-    alpha0 = solve(val, cfg.alpha_lo, cfg.alpha_hi)
-    lo, hi = max(alpha0 - cfg.gamma, cfg.alpha_lo), min(alpha0 + cfg.gamma, cfg.alpha_hi)
+    """(alpha0, alphas, evaluations, fallbacks): `fit_ts` on each class's `val.subset(idx)`, clipped to alpha0 +/- gamma."""
+    ts = fit_ts(val, cfg)
+    alpha0, evals = ts.model.alpha, ts.iterations
     alphas, fallbacks = np.full(val.num_classes, alpha0), []
-    if lo < hi:
+    if cfg.gamma > 0:
         for k in range(val.num_classes):
             idx = np.flatnonzero(np.argmax(val.logits, axis=1) == k)
             if math.isinf(cfg.gamma) and idx.size < cfg.min_class_samples:
                 fallbacks.append(k)
             elif idx.size:
-                alphas[k] = solve(val.subset(idx), lo, hi)
+                fit = fit_ts(val.subset(idx), cfg)
+                alphas[k] = np.clip(fit.model.alpha, alpha0 - cfg.gamma, alpha0 + cfg.gamma)
+                evals += fit.iterations
     return alpha0, alphas, evals, fallbacks
+
+
+def twelve_class_dataset(seed):
+    """K=12 validation records with class sizes from 0 to about 120, in random order."""
+    rng = np.random.default_rng(seed)
+    k = 12
+    # Some classes fall below min_class_samples and one is empty.
+    sizes = np.concatenate([[0, 1, 5], rng.integers(8, 120, k - 3)])
+    top = np.repeat(np.arange(k), sizes)
+    logits = rng.normal(size=(top.size, k)) * rng.uniform(0.5, 3, k)[top][:, None]
+    logits[np.arange(top.size), top] = logits.max(axis=1) + rng.exponential(1.0, top.size)
+    perm = rng.permutation(top.size)
+    return LogitDataset(logits[perm], rng.integers(0, k, top.size))
 
 
 class TestCtsAgainstSubsets:
@@ -480,15 +483,7 @@ class TestCtsAgainstSubsets:
     @pytest.mark.parametrize("min_class_samples", [0, 10, 40])
     @pytest.mark.parametrize("seed", [1, 7, 11])
     def test_alphas_iterations_and_fallbacks(self, gamma, min_class_samples, seed):
-        rng = np.random.default_rng(seed)
-        k = 12
-        # Class sizes from 0 to about 120, so some classes fall below min_class_samples and one is empty.
-        sizes = np.concatenate([[0, 1, 5], rng.integers(8, 120, k - 3)])
-        top = np.repeat(np.arange(k), sizes)
-        logits = rng.normal(size=(top.size, k)) * rng.uniform(0.5, 3, k)[top][:, None]
-        logits[np.arange(top.size), top] = logits.max(axis=1) + rng.exponential(1.0, top.size)
-        perm = rng.permutation(top.size)
-        val = LogitDataset(logits[perm], rng.integers(0, k, top.size))
+        val = twelve_class_dataset(seed)
         cfg = FitConfig(gamma=gamma, min_class_samples=min_class_samples)
         fit = fit_cts(val, cfg)
         alpha0, alphas, evals, fallbacks = reference_fit_cts(val, cfg)
@@ -496,3 +491,39 @@ class TestCtsAgainstSubsets:
         assert fit.model.alphas.tobytes() == alphas.tobytes()
         assert fit.iterations == evals
         assert fit.fallback_classes == fallbacks
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 3.0])
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_clip_matches_a_search_on_the_radius(self, gamma, seed):
+        # A search of each class on [alpha0 - gamma, alpha0 + gamma] within the
+        # bounds lands where the clipped full-interval search does.
+        val = twelve_class_dataset(seed)
+        cfg = FitConfig(gamma=gamma)
+        fit = fit_cts(val, cfg)
+        alpha0 = fit.model.alpha0
+        lo, hi = max(alpha0 - gamma, cfg.alpha_lo), min(alpha0 + gamma, cfg.alpha_hi)
+        alphas = np.full(val.num_classes, alpha0)
+        for k in range(val.num_classes):
+            idx = np.flatnonzero(np.argmax(val.logits, axis=1) == k)
+            if idx.size:
+                problem = TemperatureProblem.of(val.subset(idx))
+                alphas[k] = minimize_scalar(ScalarProblem(lambda a: temperature_nll(problem, a), lo, hi))[0]
+        assert np.all(np.abs(fit.model.alphas - alphas) <= 2 * SCALAR_TOL)
+        searched = predict(val, ClassWiseTemperature(alpha0, alphas, gamma)).mean_nll
+        assert abs(fit.val_nll - searched) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05, 0.5, 3.0, 1000.0, math.inf])
+    def test_every_search_spans_the_full_bounds(self, monkeypatch, gamma):
+        cfg = FitConfig(alpha_lo=0.05, alpha_hi=20.0, gamma=gamma, min_class_samples=0)
+        intervals = []
+
+        def recording(problem):
+            intervals.append((problem.lo, problem.hi))
+            return minimize_scalar(problem)
+
+        monkeypatch.setattr(calibrate, "minimize_scalar", recording)
+        val = twelve_class_dataset(7)
+        fit_cts(val, cfg)
+        classes = np.unique(np.argmax(val.logits, axis=1)).size
+        assert len(intervals) == 1 + (classes if gamma > 0 else 0)
+        assert set(intervals) == {(cfg.alpha_lo, cfg.alpha_hi)}

@@ -408,6 +408,55 @@ class TestTableCsv:
         assert path.read_text() == "a,b,c,d,e,f,g,h\n0.333333333,,1,0,7,cts,2.5e-10,2\n"
 
 
+class TestOutputPaths:
+    """An output path that names an input or another output exits 2 before any file is read or written."""
+
+    @pytest.fixture
+    def triple(self, tmp_path):
+        assert main(["synth", "--kind", "hetero", "--seed", "1", "--classes", "3", "--sizes", "30",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        return tmp_path
+
+    def _exits_2_touching_nothing(self, tmp_path, monkeypatch, argv, flags):
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("read a file before checking the output paths")
+
+        monkeypatch.setattr(kio, "read_logit_csv", no_read)
+        monkeypatch.setattr(kio, "read_json", no_read)
+        code, err = run_main(argv)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert all(flag in err for flag in flags)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_report_and_model_at_one_path(self, triple, monkeypatch):
+        argv = ["calibrate", "--val", str(triple / "s.val.csv"), "--test", str(triple / "s.test.csv"),
+                "--method", "cts", "--out-report", str(triple / "r.json"), "--out-model", str(triple / "r.json")]
+        self._exits_2_touching_nothing(triple, monkeypatch, argv, ("--out-model", "--out-report"))
+        assert not (triple / "r.json").exists()
+
+    def test_report_over_the_test_file(self, triple, monkeypatch):
+        # Another spelling of the same path is caught too.
+        argv = ["calibrate", "--val", str(triple / "s.val.csv"), "--test", str(triple / "s.test.csv"),
+                "--method", "ts", "--out-report", str(triple / "." / "s.test.csv")]
+        self._exits_2_touching_nothing(triple, monkeypatch, argv, ("--out-report", "--test"))
+
+    @pytest.mark.parametrize("flag", ["--file", "--model"])
+    def test_reliability_over_its_input(self, triple, monkeypatch, flag):
+        (triple / "m.json").write_text('{"method": "none", "num_classes": 3}')
+        argv = ["reliability", "--file", str(triple / "s.val.csv"), "--model", str(triple / "m.json"),
+                "--out", str(triple / ("s.val.csv" if flag == "--file" else "m.json"))]
+        self._exits_2_touching_nothing(triple, monkeypatch, argv, ("--out", flag))
+
+    def test_distinct_paths_still_write_both(self, triple):
+        argv = ["calibrate", "--val", str(triple / "s.val.csv"), "--test", str(triple / "s.test.csv"),
+                "--method", "cts", "--out-report", str(triple / "r.json"), "--out-model", str(triple / "m.json")]
+        assert main(argv) == 0
+        report = json.loads((triple / "r.json").read_text())
+        assert json.loads((triple / "m.json").read_text()) == report["model"]
+
+
 class TestCalibrateCommand:
     def test_ts_on_wellspec_fixture(self, tmp_path):
         rng = np.random.default_rng(61)

@@ -102,6 +102,17 @@ def test_finite_gamma_is_clipped_per_class_optimum(seed, gamma):
     np.testing.assert_allclose(tied.alphas, np.clip(free.alphas, lo, hi), rtol=0, atol=10 * TOL)
 
 
+@given(seeds, st.integers(2, 12), st.floats(0.0, 5.0) | st.sampled_from([0.0, 1e-300, 1e3]))
+@settings(max_examples=40, deadline=None)
+def test_finite_gamma_is_the_decoupled_fit_clipped_exactly(seed, k, gamma):
+    ds = informative_dataset(seed, k=k)
+    free = fit_cts(ds, FitConfig(gamma=math.inf, min_class_samples=0)).model
+    tied = fit_cts(ds, FitConfig(gamma=gamma)).model
+    clipped = np.clip(free.alphas, free.alpha0 - gamma, free.alpha0 + gamma)
+    assert tied.alpha0 == free.alpha0
+    assert tied.alphas.tobytes() == clipped.tobytes()
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_vs_never_worse_than_ts(seed):
