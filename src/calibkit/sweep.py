@@ -1,9 +1,11 @@
 """Generate-fit-evaluate sweeps over noise rate, class size, gamma, and validation size.
 
 Each sweep point fits TS and CTS on a validation split and evaluates on a
-test split. Rows carry the test-set calibration metrics (`nll` is the test
-NLL) plus the fitted model's validation NLL and the gap |val_nll - nll|,
-the generalization signal for the validation-size axis. Points (and n_val
+test split. The noise and size axes draw a dataset per value; the gamma
+axis draws one, and fits and scores TS on it once, since TS ignores gamma.
+Rows carry the test-set calibration metrics (`nll` is the test NLL) plus
+the fitted model's validation NLL and the gap |val_nll - nll|, the
+generalization signal for the validation-size axis. Points (and n_val
 trials) run in order, and rows are sorted by (axis_value, method).
 """
 
@@ -73,23 +75,9 @@ def _spec_for_noise(base: HeteroLogitSpec, rho: float) -> HeteroLogitSpec:
 def _spec_for_size(base: HeteroLogitSpec, fraction: float) -> HeteroLogitSpec:
     sizes = np.asarray(base.class_sizes).copy()
     h = _half(base.num_classes)
-    sizes[:h] = np.maximum(1, np.round(sizes[:h] * fraction)).astype(np.int64)
+    # A non-empty class keeps at least one record; an empty one stays empty.
+    sizes[:h] = np.minimum(sizes[:h], np.maximum(1, np.round(sizes[:h] * fraction))).astype(np.int64)
     return replace(base, class_sizes=sizes)
-
-
-def _point_rows(axis, value, base, cfg, binning) -> list[SweepRow]:
-    if axis == "noise":
-        splits = gen_hetero_logits(_spec_for_noise(base, value))
-    elif axis == "size":
-        splits = gen_hetero_logits(_spec_for_size(base, value))
-    else:
-        splits = gen_hetero_logits(base)
-        cfg = replace(cfg, gamma=value)
-    axis_value = float(value)
-    return [
-        _fit_and_eval("ts", splits.val, splits.test, cfg, binning, axis_value),
-        _fit_and_eval("cts", splits.val, splits.test, cfg, binning, axis_value),
-    ]
 
 
 def _nval_rows(
@@ -148,7 +136,8 @@ def run_sweep(
 
     noise: label-noise rate on the first half of the classes.
     size: sampling fraction of the first half of the classes.
-    gamma: CTS radius on a fixed dataset (TS rows are gamma-independent).
+    gamma: CTS radius on one draw of `base`; TS is fitted and scored once and
+    its row repeated at every value, since TS ignores gamma.
     n_val: validation-set size, a multiple of K, averaged over `trials`
     (at least 1) seeded trials, each scored on K * (`test_records` // K)
     test records (`test_records` is at least K).
@@ -169,6 +158,17 @@ def run_sweep(
         if bad:
             raise ConfigError(f"validation sizes must be multiples of num_classes {k}, got {bad}")
         rows = _nval_rows(sorted(values), base, cfg, binning, trials, test_records)
+    elif axis == "gamma":
+        # TS ignores gamma, so one draw and one TS row serve every value.
+        splits = gen_hetero_logits(base)
+        ts = _fit_and_eval("ts", splits.val, splits.test, cfg, binning, math.nan)
+        rows = [replace(ts, axis_value=float(v)) for v in values] + [
+            _fit_and_eval("cts", splits.val, splits.test, replace(cfg, gamma=v), binning, float(v)) for v in values
+        ]
     else:
-        rows = [row for v in values for row in _point_rows(axis, v, base, cfg, binning)]
+        spec_for = _spec_for_noise if axis == "noise" else _spec_for_size
+        rows = []
+        for v in values:
+            splits = gen_hetero_logits(spec_for(base, v))
+            rows += [_fit_and_eval(m, splits.val, splits.test, cfg, binning, float(v)) for m in ("ts", "cts")]
     return sorted(rows, key=lambda r: (r.axis_value, r.method))

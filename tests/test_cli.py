@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,16 +14,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from calibkit import cli
+import write_golden
+from calibkit import cli, sweep
 from calibkit import io as kio
 from calibkit.cli import main
-from calibkit.calibrate import model_from_dict
+from calibkit.calibrate import FitConfig, fit_cts, fit_ts, model_from_dict
 from calibkit.core import Identity, LogitDataset, predict, softmax
 from calibkit.errors import ConfigError, FileFormatError
 from calibkit.io import read_logit_csv, write_logit_csv, write_table_csv
 from calibkit.metrics import compute_report
-from calibkit.sweep import run_sweep
-from calibkit.synthetic import HeteroLogitSpec
+from calibkit.sweep import SweepRow, run_sweep
+from calibkit.synthetic import HeteroLogitSpec, gen_hetero_logits
 
 
 # Tokens that neither float() nor int() accepts, including the empty field.
@@ -905,15 +907,48 @@ class TestSweep:
         rows = run_sweep("gamma", [0.0, math.inf], self.base_spec())
         ts = {r.axis_value: r for r in rows if r.method == "ts"}
         cts = {r.axis_value: r for r in rows if r.method == "cts"}
-        for name in ("ece", "max_ece", "avg_ece", "nll", "accuracy"):
-            assert abs(getattr(cts[0.0], name) - getattr(ts[0.0], name)) <= 1e-9
+        assert replace(cts[0.0], method="ts") == ts[0.0]
+
+    @staticmethod
+    def reference_rows(splits, axis_value, gamma=math.inf):
+        """The (cts, ts) rows of one point, fitted and scored directly on `splits`; TS ignores `gamma`."""
+        rows = []
+        for method, fit in (("cts", fit_cts(splits.val, FitConfig(gamma=gamma))), ("ts", fit_ts(splits.val))):
+            report = compute_report(splits.test, fit.model)
+            rows.append(SweepRow(axis_value, method, report.ece, report.max_ece, report.avg_ece, report.nll,
+                                 report.accuracy, fit.val_nll, abs(fit.val_nll - report.nll)))
+        return rows
+
+    def test_gamma_axis_rows_equal_direct_fits_on_one_draw(self):
+        base = self.base_spec(sizes=80)
+        values = [math.inf, 0.3, 0.0, 0.05]
+        splits = gen_hetero_logits(base)
+        expected = [row for v in sorted(values) for row in self.reference_rows(splits, v, gamma=v)]
+        assert run_sweep("gamma", values, base) == expected
+
+    def test_gamma_axis_draws_once_and_fits_ts_once(self, monkeypatch):
+        spies = {name: mock.Mock(wraps=getattr(sweep, name)) for name in ("gen_hetero_logits", "fit_ts", "fit_cts")}
+        for name, spy in spies.items():
+            monkeypatch.setattr(sweep, name, spy)
+        rows = run_sweep("gamma", [0.0, 0.05, 0.2, 0.5, math.inf], self.base_spec(sizes=50))
+        assert {name: spy.call_count for name, spy in spies.items()} == {
+            "gen_hetero_logits": 1, "fit_ts": 1, "fit_cts": 5
+        }
+        assert len(rows) == 10
 
     def test_size_axis_runs(self):
         rows = run_sweep("size", [0.1, 1.0], self.base_spec())
         assert len(rows) == 4
         assert all(0 <= r.ece <= 1 for r in rows)
 
-    def test_rows_sorted_regardless_of_thread_count(self):
+    def test_size_axis_keeps_an_empty_class_empty(self):
+        base = replace(self.base_spec(), class_sizes=np.array([0, 50, 50, 50]), seed=3)
+        assert sweep._spec_for_size(base, 1.0).class_sizes.tolist() == [0, 50, 50, 50]
+        assert sweep._spec_for_size(base, 0.01).class_sizes.tolist() == [0, 1, 50, 50]
+        expected = self.reference_rows(gen_hetero_logits(base), 1.0)
+        assert run_sweep("size", [1.0], base) == expected
+
+    def test_rows_sorted_by_value_then_method(self):
         rows = run_sweep("noise", [0.4, 0.0, 0.2], self.base_spec(sizes=150))
         assert [(r.axis_value, r.method) for r in rows] == [
             (v, m) for v in (0.0, 0.2, 0.4) for m in ("cts", "ts")
@@ -986,3 +1021,13 @@ class TestSweep:
         assert main(["sweep", "--axis", "n_val", "--values", "100,200", "--seed", "13",
                      "--classes", "4", "--trials", str(trials), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+class TestGoldenSweeps:
+    """Seeded sweep CSVs stay byte-identical; `tests/write_golden.py` rewrites them."""
+
+    @pytest.mark.parametrize("axis", list(write_golden.SWEEPS))
+    def test_sweep_csv_matches_golden(self, tmp_path, axis):
+        out = tmp_path / f"sweep_{axis}.csv"
+        write_golden.write_sweep(axis, out)
+        assert out.read_bytes() == (write_golden.GOLDEN / f"sweep_{axis}.csv").read_bytes()
