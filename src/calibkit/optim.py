@@ -4,8 +4,11 @@ Bounded convex scalar minimization (safeguarded Newton with a bisection
 fallback), L-BFGS for smooth unconstrained problems, projected gradient
 descent with backtracking, and the calibration loss under scalar-temperature
 and vector scaling with its analytic derivatives. Both losses take their NLL
-from `core.softmax_nll`, the kernel `predict` uses, so the value a fit
-minimizes is the NLL a report gives. The temperature loss takes only a
+from `core.softmax_nll`, the kernel `predict` uses. For vector scaling the
+value a fit minimizes is bit for bit the NLL `predict` gives; for a
+temperature it matches only to rounding (a few eps relative), since the
+loss scales the shifted logits, (z - top) * alpha, where `predict` shifts
+the scaled ones, alpha * z - alpha * top. The temperature loss takes only a
 `TemperatureProblem`, prepared once per solve: the shifted logits, their
 label entries and one work array that every evaluation computes into, so
 no evaluation allocates an array of the logits' size. A per-class fit

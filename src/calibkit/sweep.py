@@ -1,10 +1,12 @@
 """Generate-fit-evaluate sweeps over noise rate, class size, gamma, and validation size.
 
-Each sweep point fits TS and CTS on a validation split and evaluates on a
-test split. The noise and size axes draw a dataset per value; the gamma
-axis draws one, and fits and scores TS on it once, since TS ignores gamma.
-Rows carry the test-set calibration metrics (`nll` is the test NLL) plus
-the fitted model's validation NLL and the gap |val_nll - nll|, the
+Each validation set gets one `fit_cts` per configuration, and its TS row
+comes from the first fit's shared temperature alpha0: `fit_cts` begins with
+the TS solve, which does not read gamma, so no sweep calls `fit_ts`. The
+noise and size axes draw a dataset per value and fit it once; the gamma
+axis draws one, fits CTS once per value and scores TS once for all of
+them. Rows carry the test-set calibration metrics (`nll` is the test NLL)
+plus the fitted model's validation NLL and the gap |val_nll - nll|, the
 generalization signal for the validation-size axis. Points (and n_val
 trials) run in order, and rows are sorted by (axis_value, method).
 """
@@ -16,7 +18,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .calibrate import FitConfig, fit_cts, fit_ts
+from .calibrate import FitConfig, fit_cts
+from .calibrate import fit_ts  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
+from .core import Temperature, predict
 from .errors import ConfigError, check_array, check_int
 from .metrics import BinningConfig, compute_report
 from .metrics import nll  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
@@ -46,20 +50,23 @@ class SweepRow:
 _METRICS = [f.name for f in fields(SweepRow) if f.name not in ("axis_value", "method")]
 
 
-def _fit_and_eval(method, val, test, cfg, binning, axis_value) -> SweepRow:
-    fit = fit_ts(val, cfg) if method == "ts" else fit_cts(val, cfg)
-    report = compute_report(test, fit.model, binning)
-    return SweepRow(
-        axis_value=axis_value,
-        method=method,
-        ece=report.ece,
-        max_ece=report.max_ece,
-        avg_ece=report.avg_ece,
-        nll=report.nll,
-        accuracy=report.accuracy,
-        val_nll=fit.val_nll,
-        nll_gap=abs(fit.val_nll - report.nll),
-    )
+def _row(axis_value, method, model, val_nll, test, binning) -> SweepRow:
+    r = compute_report(test, model, binning)
+    return SweepRow(axis_value, method, r.ece, r.max_ece, r.avg_ece, r.nll, r.accuracy, val_nll, abs(val_nll - r.nll))
+
+
+def _rows(val, test, points, binning) -> list[SweepRow]:
+    """The ts and cts rows of one validation/test pair at each (axis value, FitConfig) in `points`.
+
+    `fit_cts` begins with the TS solve, which does not read gamma, so the
+    first fit's alpha0 is the TS temperature; TS is scored once and its row
+    repeated at every axis value.
+    """
+    fits = [fit_cts(val, cfg) for _, cfg in points]
+    ts = Temperature(fits[0].model.alpha0)
+    ts_row = _row(math.nan, "ts", ts, predict(val, ts).mean_nll, test, binning)
+    return [row for (v, _), fit in zip(points, fits)
+            for row in (replace(ts_row, axis_value=v), _row(v, "cts", fit.model, fit.val_nll, test, binning))]
 
 
 def _half(k: int) -> int:
@@ -109,9 +116,7 @@ def _nval_rows(
         for n_val in sizes:
             per_class = n_val // k
             idx = np.concatenate([np.arange(s, s + per_class) for s in starts])
-            val = val_pool.subset(idx)
-            for method in ("ts", "cts"):
-                rows.append(_fit_and_eval(method, val, test, cfg, binning, float(n_val)))
+            rows += _rows(val_pool.subset(idx), test, [(float(n_val), cfg)], binning)
         return rows
 
     # Every trial yields its rows in the same (size, method) order, so
@@ -136,12 +141,15 @@ def run_sweep(
 
     noise: label-noise rate on the first half of the classes.
     size: sampling fraction of the first half of the classes.
-    gamma: CTS radius on one draw of `base`; TS is fitted and scored once and
-    its row repeated at every value, since TS ignores gamma.
+    gamma: CTS radius on one draw of `base`, one `fit_cts` per value.
     n_val: validation-set size, a multiple of K, averaged over `trials`
     (at least 1) seeded trials, each scored on K * (`test_records` // K)
     test records (`test_records` is at least K).
     Every value, `trials` and `test_records` are checked before any point runs.
+    No axis calls `fit_ts`: each validation set's TS row reuses the shared
+    temperature of its first `fit_cts` and is scored once, so the noise,
+    size and n_val axes make one TS solve per validation set. The gamma
+    axis still makes one per value, inside each `fit_cts`.
     """
     if not (isinstance(axis, str) and axis in SWEEP_AXES):
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -159,16 +167,12 @@ def run_sweep(
             raise ConfigError(f"validation sizes must be multiples of num_classes {k}, got {bad}")
         rows = _nval_rows(sorted(values), base, cfg, binning, trials, test_records)
     elif axis == "gamma":
-        # TS ignores gamma, so one draw and one TS row serve every value.
         splits = gen_hetero_logits(base)
-        ts = _fit_and_eval("ts", splits.val, splits.test, cfg, binning, math.nan)
-        rows = [replace(ts, axis_value=float(v)) for v in values] + [
-            _fit_and_eval("cts", splits.val, splits.test, replace(cfg, gamma=v), binning, float(v)) for v in values
-        ]
+        rows = _rows(splits.val, splits.test, [(float(v), replace(cfg, gamma=v)) for v in values], binning)
     else:
         spec_for = _spec_for_noise if axis == "noise" else _spec_for_size
         rows = []
         for v in values:
             splits = gen_hetero_logits(spec_for(base, v))
-            rows += [_fit_and_eval(m, splits.val, splits.test, cfg, binning, float(v)) for m in ("ts", "cts")]
+            rows += _rows(splits.val, splits.test, [(float(v), cfg)], binning)
     return sorted(rows, key=lambda r: (r.axis_value, r.method))

@@ -527,3 +527,33 @@ class TestCtsAgainstSubsets:
         classes = np.unique(np.argmax(val.logits, axis=1)).size
         assert len(intervals) == 1 + (classes if gamma > 0 else 0)
         assert set(intervals) == {(cfg.alpha_lo, cfg.alpha_hi)}
+
+
+class TestObjectiveIsTheReportedNll:
+    """The NLL a fit minimizes against the `val_nll` it reports: VS bit for bit, TS to rounding.
+
+    The TS loss scales the shifted logits, (z - top) * alpha, where `predict`
+    shifts the scaled ones, alpha * z - alpha * top, so the two may differ in
+    the last bits.
+    """
+
+    DRAWS = [(k, seed) for k in (3, 10, 30) for seed in range(8)]
+
+    @staticmethod
+    def val_set(k, seed):
+        spec = HeteroLogitSpec(num_classes=k, class_sizes=np.full(k, 30), scales=np.linspace(0.4, 2.0, k),
+                               noise_rates=np.full(k, 0.1), margin=2.0, seed=seed)
+        return gen_hetero_logits(spec).val
+
+    @pytest.mark.parametrize("k, seed", DRAWS)
+    def test_ts_within_4_eps(self, k, seed):
+        val = self.val_set(k, seed)
+        fit = fit_ts(val)
+        minimized = temperature_nll(TemperatureProblem.of(val), fit.model.alpha)[0]
+        assert abs(minimized - fit.val_nll) <= 4 * np.finfo(float).eps * fit.val_nll
+
+    @pytest.mark.parametrize("k, seed", DRAWS)
+    def test_vs_exact(self, k, seed):
+        val = self.val_set(k, seed)
+        fit = fit_vs(val)
+        assert nll_grad_vector(val, fit.model.scale, fit.model.bias)[0] == fit.val_nll

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import write_golden
-from calibkit import cli, sweep
+from calibkit import calibrate, cli, sweep
 from calibkit import io as kio
 from calibkit.cli import main
 from calibkit.calibrate import FitConfig, fit_cts, fit_ts, model_from_dict
@@ -910,31 +910,87 @@ class TestSweep:
         assert replace(cts[0.0], method="ts") == ts[0.0]
 
     @staticmethod
-    def reference_rows(splits, axis_value, gamma=math.inf):
-        """The (cts, ts) rows of one point, fitted and scored directly on `splits`; TS ignores `gamma`."""
+    def reference_rows(val, test, axis_value, gamma=math.inf):
+        """The (cts, ts) rows of one point, from `fit_cts` and a standalone `fit_ts` on `val`; TS ignores `gamma`."""
         rows = []
-        for method, fit in (("cts", fit_cts(splits.val, FitConfig(gamma=gamma))), ("ts", fit_ts(splits.val))):
-            report = compute_report(splits.test, fit.model)
+        for method, fit in (("cts", fit_cts(val, FitConfig(gamma=gamma))), ("ts", fit_ts(val))):
+            report = compute_report(test, fit.model)
             rows.append(SweepRow(axis_value, method, report.ece, report.max_ece, report.avg_ece, report.nll,
                                  report.accuracy, fit.val_nll, abs(fit.val_nll - report.nll)))
         return rows
+
+    @staticmethod
+    def class_solves(val, cfg):
+        """Class searches `fit_cts(val, cfg)` runs: one per non-empty predicted class at gamma > 0, less the fallbacks."""
+        if cfg.gamma == 0:
+            return 0
+        counts = np.bincount(np.argmax(val.logits, axis=1), minlength=val.num_classes)
+        floor = cfg.min_class_samples if math.isinf(cfg.gamma) else 0
+        return int(np.sum((counts > 0) & (counts >= floor)))
+
+    @staticmethod
+    def spy(monkeypatch, module, names):
+        spies = {name: mock.Mock(wraps=getattr(module, name)) for name in names}
+        for name, spy in spies.items():
+            monkeypatch.setattr(module, name, spy)
+        return spies
 
     def test_gamma_axis_rows_equal_direct_fits_on_one_draw(self):
         base = self.base_spec(sizes=80)
         values = [math.inf, 0.3, 0.0, 0.05]
         splits = gen_hetero_logits(base)
-        expected = [row for v in sorted(values) for row in self.reference_rows(splits, v, gamma=v)]
+        expected = [row for v in sorted(values) for row in self.reference_rows(splits.val, splits.test, v, gamma=v)]
         assert run_sweep("gamma", values, base) == expected
 
-    def test_gamma_axis_draws_once_and_fits_ts_once(self, monkeypatch):
-        spies = {name: mock.Mock(wraps=getattr(sweep, name)) for name in ("gen_hetero_logits", "fit_ts", "fit_cts")}
-        for name, spy in spies.items():
-            monkeypatch.setattr(sweep, name, spy)
+    def test_noise_axis_rows_equal_direct_fits(self):
+        base = self.base_spec(sizes=80)
+        values = [0.3, 0.0, 0.1]
+        expected = []
+        for v in sorted(values):
+            splits = gen_hetero_logits(sweep._spec_for_noise(base, v))
+            expected += self.reference_rows(splits.val, splits.test, v)
+        assert run_sweep("noise", values, base) == expected
+
+    def test_nval_axis_one_trial_rows_equal_direct_fits(self):
+        # One trial: the validation sets are per-class prefixes of one pooled
+        # draw of ceil(max size / K) records per class, and the test split is
+        # one draw of test_records // K per class with its own seed.
+        base = self.base_spec()
+        sizes, pool, test_records = [100, 40], 25, 803
+        val_pool = gen_hetero_logits(replace(base, class_sizes=np.full(4, pool))).val
+        test = gen_hetero_logits(replace(base, class_sizes=np.full(4, 200), seed=base.seed + 104729)).test
+        expected = []
+        for n in sorted(sizes):
+            idx = np.concatenate([np.arange(c * pool, c * pool + n // 4) for c in range(4)])
+            expected += self.reference_rows(val_pool.subset(idx), test, float(n))
+        assert run_sweep("n_val", sizes, base, trials=1, test_records=test_records) == expected
+
+    def test_gamma_axis_draws_once_and_never_calls_fit_ts(self, monkeypatch):
+        spies = self.spy(monkeypatch, sweep, ("gen_hetero_logits", "fit_ts", "fit_cts"))
+        solves = self.spy(monkeypatch, calibrate, ("minimize_scalar",))["minimize_scalar"]
         rows = run_sweep("gamma", [0.0, 0.05, 0.2, 0.5, math.inf], self.base_spec(sizes=50))
         assert {name: spy.call_count for name, spy in spies.items()} == {
-            "gen_hetero_logits": 1, "fit_ts": 1, "fit_cts": 5
+            "gen_hetero_logits": 1, "fit_ts": 0, "fit_cts": 5
         }
+        assert solves.call_count == 5 + sum(self.class_solves(*c.args) for c in spies["fit_cts"].call_args_list)
         assert len(rows) == 10
+
+    @pytest.mark.parametrize(
+        "axis, values, kwargs, validation_sets",
+        [
+            ("noise", [0.4, 0.0, 0.2], {}, 3),
+            ("size", [0.2, 1.0, 0.6], {}, 3),
+            ("n_val", [40, 80], {"trials": 2, "test_records": 400}, 4),
+        ],
+    )
+    def test_one_shared_solve_per_validation_set(self, monkeypatch, axis, values, kwargs, validation_sets):
+        spies = self.spy(monkeypatch, sweep, ("fit_ts", "fit_cts"))
+        solves = self.spy(monkeypatch, calibrate, ("minimize_scalar",))["minimize_scalar"]
+        rows = run_sweep(axis, values, self.base_spec(sizes=50), **kwargs)
+        fits = spies["fit_cts"].call_args_list
+        assert (spies["fit_ts"].call_count, len(fits)) == (0, validation_sets)
+        assert solves.call_count - sum(self.class_solves(*c.args) for c in fits) == validation_sets
+        assert len(rows) == 2 * len(values)
 
     def test_size_axis_runs(self):
         rows = run_sweep("size", [0.1, 1.0], self.base_spec())
@@ -945,8 +1001,8 @@ class TestSweep:
         base = replace(self.base_spec(), class_sizes=np.array([0, 50, 50, 50]), seed=3)
         assert sweep._spec_for_size(base, 1.0).class_sizes.tolist() == [0, 50, 50, 50]
         assert sweep._spec_for_size(base, 0.01).class_sizes.tolist() == [0, 1, 50, 50]
-        expected = self.reference_rows(gen_hetero_logits(base), 1.0)
-        assert run_sweep("size", [1.0], base) == expected
+        splits = gen_hetero_logits(base)
+        assert run_sweep("size", [1.0], base) == self.reference_rows(splits.val, splits.test, 1.0)
 
     def test_rows_sorted_by_value_then_method(self):
         rows = run_sweep("noise", [0.4, 0.0, 0.2], self.base_spec(sizes=150))
@@ -1031,3 +1087,20 @@ class TestGoldenSweeps:
         out = tmp_path / f"sweep_{axis}.csv"
         write_golden.write_sweep(axis, out)
         assert out.read_bytes() == (write_golden.GOLDEN / f"sweep_{axis}.csv").read_bytes()
+
+
+class TestGoldenCli:
+    """Seeded `synth`, `calibrate` and `reliability` files stay byte-identical; `tests/write_golden.py` rewrites them."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("cli")
+        write_golden.write_cli(out)
+        return out
+
+    def test_writes_exactly_the_golden_files(self, written):
+        assert sorted(p.name for p in written.iterdir()) == sorted(p.name for p in write_golden.GOLDEN_CLI.iterdir())
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in write_golden.GOLDEN_CLI.iterdir()))
+    def test_file_matches_golden(self, written, name):
+        assert (written / name).read_bytes() == (write_golden.GOLDEN_CLI / name).read_bytes()
