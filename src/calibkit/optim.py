@@ -17,9 +17,10 @@ run of those rows.
 Each solver owns its stopping rule as a constant of this module
 (`SCALAR_TOL`; `LBFGS_MAX_ITERS` and `LBFGS_IMPROVEMENT_TOL`), and the
 scalar search always starts at 1, so their callers pass only the problem.
-Projected gradient descent still takes its iteration cap and tolerances
-from `GradientProblem`, which `synthetic.fit_constrained_logistic` sets to
-values of its own. Everything here is deterministic.
+L-BFGS also serves `synthetic.fit_constrained_logistic`, on the log of its
+loss. Projected gradient descent takes its iteration cap and tolerances
+from `GradientProblem`; no calibkit fit calls it any more. Everything here
+is deterministic.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ Three constructions drive the numerical theory checks:
   classifier on it (confidence 1 - p_plus on v, 1 - p_minus on -v);
 * a three-atom distribution with one rare atom, fit under a norm budget on
   the weight vector: small samples miss the rare atom and yield a maximally
-  confident but provably less accurate classifier, large samples recover it;
+  confident but provably less accurate classifier, large samples recover it.
+  The fit runs L-BFGS on the log of the loss, on the budget's sphere and, if
+  the optimum is not there, inside it; a sample with one label gets weight 0
+  and a large intercept of that label's sign;
 * a heterogeneous logit generator standing in for deep-network experiments:
   per-class logit scales make classes over-confident (scale > 1) or
   under-confident (scale < 1) while leaving accuracy untouched.
@@ -28,11 +31,13 @@ from .errors import (
     ConfigError,
     DegenerateNoiseError,
     InvalidInputError,
+    OptimizationError,
     check_array,
     check_int,
     check_real,
 )
-from .optim import GradientProblem, projected_gd
+from .optim import minimize_lbfgs
+from .optim import projected_gd  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 
 __all__ = [
     "NoisyBinarySpec",
@@ -50,16 +55,17 @@ __all__ = [
     "gen_hetero_logits",
 ]
 
-# Relative improvement threshold and iteration cap of the constrained
-# logistic fit's projected gradient descent.
-LOGISTIC_TOL = 1e-10
-LOGISTIC_MAX_ITERS = 5000
+# The intercept, with the label's sign, of a constrained logistic fit to a
+# sample with one label: log(1 + exp(-746)) rounds to 0 in float64, so every
+# atom's loss is exactly 0.
+ONE_LABEL_INTERCEPT = 746.0
 # The large sample of each rare-atom trial is this many times the small one.
 LARGE_FACTOR = 30
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # exp(-z) is inf below z = -709, and the quotient 0
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _unit_direction(direction) -> np.ndarray:
@@ -179,17 +185,37 @@ def fit_constrained_logistic(atoms: BinaryDataset, counts, radius: float) -> Lin
     """Minimize empirical binary NLL over ||weight|| <= radius with a free intercept.
 
     The sample is given by its histogram: `counts[i]` is how often record i
-    of `atoms` occurs in it. The loss is the count-weighted mean over the
+    of `atoms` occurs in it. The loss F is the count-weighted mean over the
     records, the same objective as the mean over every sampled row up to
     summation order, at the cost of the distinct records alone (two or three
     on the paper's atom distributions). Records with count 0 are left out,
     and the rest are summed in the order given. `counts` must be non-negative
     integers with a positive total.
-    Projected gradient descent from (0, 0); the projection radially rescales
-    the weight onto the ball and never touches the intercept. The stopping
-    rule is relative (improvement below `LOGISTIC_TOL` * |loss|) so the fit
-    keeps refining the intercept even when separable data drives the loss
-    exponentially close to zero.
+
+    A sample with one label has no minimizer (the loss tends to 0 as the
+    intercept grows), so its fit is weight 0 and intercept
+    +-`ONE_LABEL_INTERCEPT`, with that label's sign, at which every atom's
+    loss is exactly 0.
+
+    Otherwise `optim.minimize_lbfgs` minimizes log F, computed in the log
+    domain, so its absolute stopping rule acts as a relative one on F even
+    when separable data drive F far below 1e-300. It first solves on the
+    sphere: weight = radius * v / ||v|| and intercept = radius * beta, so a
+    unit step moves the margins on their own scale. It starts from the unit
+    v along the difference of the two labels' mean atoms (F's steepest
+    descent at the best constant classifier) and beta = 0. F is convex, so
+    the sphere point is the constrained optimum if its outward derivative
+    weight . grad_w F is <= 0 (the KKT condition). Otherwise the optimum
+    lies inside the ball: the fit minimizes over (weight, intercept) from
+    (0, 0) and raises OptimizationError if the result lies outside. If the
+    two mean atoms coincide, the best constant classifier (weight 0) is the
+    optimum.
+
+    L-BFGS compares values of log F, whose rounding (about |margin| * eps)
+    hides the last ~1e-7 of the optimum, while its derivatives are exact to
+    rounding. So the fit ends with one Newton step on the KKT conditions,
+    along the sphere for a sphere point, which makes it reproducible to
+    about 1e-13 under any summation order.
     """
     radius = check_real("radius", radius, gt=0)
     counts = check_array("counts", counts, integer=True, length=atoms.num_records, ge=0)
@@ -197,40 +223,90 @@ def fit_constrained_logistic(atoms: BinaryDataset, counts, radius: float) -> Lin
         raise ConfigError(f"counts must have a positive total, got {counts.tolist()}")
     keep = counts > 0
     x, ys, counts = atoms.x[keep], 2.0 * atoms.y[keep] - 1.0, counts[keep]
-    n, d = counts.sum(dtype=np.float64), x.shape[1]
+    d = x.shape[1]
+    if (ys == ys[0]).all():
+        return LinearBinaryClassifier(weight=np.zeros(d), intercept=ys[0] * ONE_LABEL_INTERCEPT)
+    pos = ys > 0
+    n_pos, n_neg = counts[pos].sum(), counts[~pos].sum()
+    direction = counts[pos] @ x[pos] / n_pos - counts[~pos] @ x[~pos] / n_neg
+    if not direction.any():
+        return LinearBinaryClassifier(weight=np.zeros(d), intercept=math.log(n_pos / n_neg))
+    log_counts, neg_ys, rows = np.log(counts), -ys, np.column_stack([x, np.ones(len(x))])
 
-    def objective(p: np.ndarray) -> float:
-        z = x @ p[:d] + p[d]
-        return float(counts @ np.logaddexp(0.0, -ys * z) / n)
+    def log_loss(w: np.ndarray, b: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """log(n F) at (w, b), its derivative r_i in each z_i = x_i . w + b, and sigmoid(t_i).
 
-    def gradient(p: np.ndarray) -> np.ndarray:
-        z = x @ p[:d] + p[d]
-        s = -ys * _sigmoid(-ys * z) * counts
-        g = np.empty(d + 1)
-        g[:d] = x.T @ s / n
-        g[d] = s.sum() / n
-        return g
+        With t = -margin = -y z, log(n F) is the log-sum-exp of
+        log c + log softplus(t), and r = -y c sigmoid(t) / (n F). Below
+        t = -40, softplus(t) and sigmoid(t) both equal exp(t) to rounding.
+        """
+        t = x @ w
+        t += b
+        t *= neg_ys
+        clipped = np.maximum(t, -40.0)
+        softplus = np.logaddexp(0.0, clipped)
+        terms = np.log(softplus)
+        terms += log_counts
+        terms += t
+        terms -= clipped
+        top = terms.max()
+        shares = np.exp(terms - top)
+        total = shares.sum()
+        sigmoid = np.exp(clipped - softplus)
+        r = sigmoid / softplus
+        r *= shares
+        r *= neg_ys / total
+        return top + math.log(total), r, sigmoid
 
-    def project(p: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(p[:d])
-        if norm <= radius:
-            return p
-        out = p.copy()
-        out[:d] *= radius / norm
-        return out
+    def on_sphere(p: np.ndarray) -> tuple[float, np.ndarray]:
+        v = p[:d]
+        norm = math.sqrt(v @ v)
+        u = v / norm
+        value, r, _ = log_loss(radius * u, radius * p[d])
+        grad = rows.T @ r
+        grad[:d] -= (u @ grad[:d]) * u
+        grad[:d] *= radius / norm
+        grad[d] *= radius
+        return value, grad
 
-    result = projected_gd(
-        GradientProblem(
-            objective=objective,
-            gradient=gradient,
-            project=project,
-            x0=np.zeros(d + 1),
-            max_iters=LOGISTIC_MAX_ITERS,
-            improvement_tol=0.0,
-            relative_improvement_tol=LOGISTIC_TOL,
-        )
-    )
-    return LinearBinaryClassifier(weight=result.x[:d], intercept=result.x[d])
+    def in_ball(p: np.ndarray) -> tuple[float, np.ndarray]:
+        value, r, _ = log_loss(p[:d], p[d])
+        return value, rows.T @ r
+
+    def newton(p: np.ndarray, sphere: bool) -> np.ndarray:
+        """p after one Newton step on the KKT conditions, along the sphere if `sphere`.
+
+        With a = (x, 1), the Hessian of log(n F) is
+        sum(a a' * -y r (1 - sigmoid)) - grad grad'. On the sphere it gains
+        the multiplier term -(u . grad_w / radius) on the weight block, and
+        the step is kept in the tangent space: projected, with u u' added so
+        it is invertible there.
+        """
+        _, r, sigmoid = log_loss(p[:d], p[d])
+        grad = rows.T @ r
+        hess = (rows.T * (neg_ys * r * (1.0 - sigmoid))) @ rows - np.outer(grad, grad)
+        if sphere:
+            u = np.append(p[:d] / radius, 0.0)
+            proj = np.eye(d + 1) - np.outer(u, u)
+            hess[:d, :d] -= (u @ grad / radius) * np.eye(d)
+            hess = proj @ hess @ proj + np.outer(u, u)
+            grad = proj @ grad
+        p = p + np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        if sphere:
+            p[:d] *= radius / math.sqrt(p[:d] @ p[:d])
+        return p
+
+    p = minimize_lbfgs(on_sphere, np.append(direction / math.sqrt(direction @ direction), 0.0)).x
+    p = newton(np.append(radius * p[:d] / math.sqrt(p[:d] @ p[:d]), radius * p[d]), sphere=True)
+    if p[:d] @ x.T @ log_loss(p[:d], p[d])[1] > 0:
+        p = minimize_lbfgs(in_ball, np.zeros(d + 1)).x
+        if p[:d] @ p[:d] > radius * radius:
+            raise OptimizationError(
+                f"the sphere point fails the KKT test, but the unconstrained fit has ||weight|| "
+                f"{math.sqrt(p[:d] @ p[:d])} > radius {radius}"
+            )
+        p = newton(p, sphere=False)
+    return LinearBinaryClassifier(weight=p[:d], intercept=p[d])
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from calibkit import calibrate, metrics, synthetic
+from calibkit.optim import GradientProblem
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -55,10 +56,17 @@ def test_traced_fits_report_and_rare_atom_run_fill_the_layer_counts():
         vs = calibrate.fit_vs(splits.val)
         metrics.compute_report(splits.test, vs.model)
         synthetic.rare_atom_experiment(10, 0.01, 1, 1)
+        # No calibkit fit runs projected GD any more; the tracer still wraps
+        # it at this lookup site and reads `problem.max_iters`.
+        synthetic.projected_gd(GradientProblem(
+            objective=lambda p: float((p[0] - 1.0) ** 2), gradient=lambda p: 2.0 * (p - 1.0),
+            project=lambda p: p, x0=np.zeros(1), max_iters=50,
+        ))
     finally:
         tracer.uninstall()
     counts = tracer.layer_metrics(1, 1)
     assert counts["calibrate.fits"] == 4
-    assert counts["optim.gd_runs"] == 2  # the small and the large sample of one trial
+    assert counts["synthetic.logistic_fits"] == 2  # the small and the large sample of one trial
+    assert counts["optim.gd_runs"] == 1
     for name in ("optim.nll_calls", "optim.nll_mb_computed", "optim.gd_iters", "optim.vector_evals"):
         assert counts[name] > 0, name

@@ -99,7 +99,7 @@ ENTRY_POINTS = {
 # The work each entry point starts once its inputs pass, stopped by `accepted`.
 WORK = [
     (np.random, "default_rng"),
-    (synthetic, "projected_gd"),
+    (synthetic, "minimize_lbfgs"),
     (sweep, "gen_hetero_logits"),
 ]
 CASES = [(name, param) for name, (_, kwargs) in ENTRY_POINTS.items() for param in kwargs

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from calibkit import synthetic
 from calibkit.core import Identity, predict
 from calibkit.errors import ConfigError, DegenerateNoiseError
 from calibkit.metrics import BinningConfig, compute_report
-from calibkit.optim import GradientProblem, projected_gd
+from calibkit.optim import GradientProblem, minimize_lbfgs, projected_gd
 from calibkit.synthetic import (
     BinaryDataset,
     HeteroLogitSpec,
@@ -170,6 +173,125 @@ class TestFitConstrainedLogistic:
         assert a.weight.tobytes() == b.weight.tobytes()
         assert np.float64(a.intercept).tobytes() == np.float64(b.intercept).tobytes()
 
+    def test_equal_label_means_give_the_best_constant_classifier(self):
+        # The mean +1 and the mean -1 atom are both v / 2, so F's gradient at
+        # weight 0 and intercept log(n+ / n-) vanishes there.
+        v = np.array([0.6, 0.8])
+        atoms = BinaryDataset(np.vstack([v, v, -v, -v]), [1, 0, 1, 0])
+        clf = fit_constrained_logistic(atoms, [3, 6, 1, 2], radius=5.0)
+        assert clf.weight.tolist() == [0.0, 0.0]
+        assert clf.intercept == math.log(4 / 8)
+
+
+class TestOneLabelSamples:
+    """A sample with one label gets weight 0 and +-ONE_LABEL_INTERCEPT, with no solve."""
+
+    @pytest.fixture
+    def no_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-label sample ran a solver")
+
+        monkeypatch.setattr(synthetic, "minimize_lbfgs", refuse)
+
+    @pytest.mark.parametrize("counts, sign", [([10, 0, 0], 1.0), ([0, 3, 7], -1.0), ([0, 0, 1], -1.0)])
+    def test_every_present_atom_has_loss_exactly_zero(self, no_solver, counts, sign):
+        spec = RareAtomSpec(10, 0.01)
+        clf = fit_constrained_logistic(BinaryDataset(spec.atoms, spec.atom_labels), counts, spec.radius)
+        assert clf.weight.tolist() == [0.0, 0.0]
+        assert clf.intercept == sign * synthetic.ONE_LABEL_INTERCEPT
+        ys = 2.0 * spec.atom_labels - 1.0
+        losses = np.logaddexp(0.0, -ys * clf.logit(spec.atoms))
+        assert losses[np.array(counts) > 0].tolist() == [0.0] * np.count_nonzero(counts)
+
+    @pytest.mark.parametrize("seed, sign", [(415, -1.0), (1064, 1.0)])
+    def test_rare_atom_experiment_records_a_one_label_draw(self, seed, sign):
+        # Seed 415 draws ten -v atoms for its small sample, seed 1064 ten v atoms.
+        small = rare_atom_experiment(10, 0.01, trials=1, seed=seed)[0]
+        assert (small.scenario, small.rare_present, small.balanced) == ("s1", False, False)
+        assert small.weight.tolist() == [0.0, 0.0]
+        assert small.intercept == sign * synthetic.ONE_LABEL_INTERCEPT
+        assert (small.min_confidence, small.accuracy) == (1.0, 0.5)
+
+
+def fit_loss_and_gradient(atoms, counts, clf):
+    """F at the fit, and the gradient of log F in the weight and in the intercept, in the log domain."""
+    keep = np.asarray(counts) > 0
+    x, ys, c = atoms.x[keep], 2.0 * atoms.y[keep] - 1.0, np.asarray(counts, dtype=np.float64)[keep]
+    t = -ys * clf.logit(x)
+    loss = float(c @ np.logaddexp(0.0, t) / c.sum())
+    log_terms = np.log(c) + np.where(t < -40.0, t, np.log(np.logaddexp(0.0, np.maximum(t, -40.0))))
+    r = -ys * np.exp(np.log(c) - np.logaddexp(0.0, -t) - logsumexp(log_terms))
+    return loss, x.T @ r, r.sum()
+
+
+def gd_loss(atoms, counts, radius):
+    """F at the projected-gradient-descent fit the solve replaced: from (0, 0), relative tolerance 1e-10."""
+    keep = np.asarray(counts) > 0
+    x, ys, c = atoms.x[keep], 2.0 * atoms.y[keep] - 1.0, np.asarray(counts)[keep]
+    d = x.shape[1]
+
+    def objective(p):
+        return float(c @ np.logaddexp(0.0, -ys * (x @ p[:d] + p[d])) / c.sum())
+
+    def gradient(p):
+        s = -ys * sigmoid(-ys * (x @ p[:d] + p[d])) * c / c.sum()
+        return np.append(x.T @ s, s.sum())
+
+    def project(p):
+        norm = np.linalg.norm(p[:d])
+        return p if norm <= radius else np.append(p[:d] * (radius / norm), p[d])
+
+    return projected_gd(GradientProblem(objective, gradient, project, np.zeros(d + 1), max_iters=5000,
+                                        improvement_tol=0.0, relative_improvement_tol=1e-10)).loss
+
+
+def dnoisy_atoms(direction):
+    v = np.asarray(direction, dtype=np.float64)
+    return BinaryDataset(np.vstack([v, v, -v, -v]), [1, 0, 1, 0])
+
+
+RARE_SPEC = RareAtomSpec(10, 0.01)
+ATOM_SETS = {
+    "rare": BinaryDataset(RARE_SPEC.atoms, RARE_SPEC.atom_labels),
+    "dnoisy-1d": dnoisy_atoms([1.0]),
+    "dnoisy-2d": dnoisy_atoms([0.6, 0.8]),
+}
+
+
+class TestConstrainedOptimum:
+    """The fit meets the KKT conditions of min F over ||weight|| <= radius, and beats projected GD.
+
+    Gradients are of log F, so they are scale-free even where F is far
+    below 1e-300. On the sphere the tangential gradient and the intercept
+    derivative vanish and the outward derivative is <= 0; inside, the whole
+    gradient vanishes. F's float value carries relative rounding up to about
+    |margin| * eps, and margins here reach about 1000, hence the 1e-12 on
+    the comparison with projected GD.
+    """
+
+    @given(
+        atoms=st.sampled_from(list(ATOM_SETS)),
+        counts=st.lists(st.integers(0, 3000), min_size=4, max_size=4),
+        radius=st.floats(0.5, 1000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kkt_conditions_and_no_worse_than_projected_gd(self, atoms, counts, radius):
+        atoms = ATOM_SETS[atoms]
+        counts = counts[:atoms.num_records]
+        assume(len(set(np.asarray(atoms.y)[np.asarray(counts) > 0].tolist())) == 2)
+        clf = fit_constrained_logistic(atoms, counts, radius)
+        loss, grad_w, grad_b = fit_loss_and_gradient(atoms, counts, clf)
+        norm = np.linalg.norm(clf.weight)
+        assert norm <= radius * (1 + 1e-12)
+        if norm >= radius * (1 - 1e-9):
+            u = clf.weight / norm
+            assert np.linalg.norm(grad_w - (u @ grad_w) * u) <= 1e-8
+            assert u @ grad_w <= 1e-12
+        else:
+            assert np.linalg.norm(grad_w) <= 1e-7
+        assert abs(grad_b) <= 1e-7
+        assert loss <= gd_loss(atoms, counts, radius) * (1 + 1e-12)
+
 
 def atom_counts(dataset):
     """The distinct (x, y) records of a dataset, in sorted order, and how often each occurs."""
@@ -178,25 +300,50 @@ def atom_counts(dataset):
 
 
 def rowwise_constrained_logistic(atoms, counts, radius):
-    """The constrained logistic fit with its loss and gradient summed over every sampled row."""
+    """The constrained logistic fit's solves, with log F and its derivatives summed over every sampled row.
+
+    For samples with both labels: L-BFGS on log F over the sphere (weight
+    radius * v / ||v||, intercept radius * beta) from v along the
+    difference of the two labels' mean rows; if the outward derivative
+    there, after one Newton step along the sphere, is positive, L-BFGS over
+    the ball's interior from (0, 0) and one Newton step.
+    """
     x, y = np.repeat(atoms.x, counts, axis=0), np.repeat(atoms.y, counts)
-    n, d = x.shape
+    d = x.shape[1]
     ys = 2.0 * y - 1.0
+    a = np.column_stack([x, np.ones(len(x))])
 
-    def objective(p):
-        return float(np.mean(np.logaddexp(0.0, -ys * (x @ p[:d] + p[d]))))
+    def log_loss(w, b):
+        """log(sum of row losses), its gradient in (w, b) and its Hessian."""
+        t = -ys * (x @ w + b)
+        value = logsumexp(np.where(t < -40.0, t, np.log(np.logaddexp(0.0, np.maximum(t, -40.0)))))
+        log_sigmoid = -np.logaddexp(0.0, -t)
+        r = -ys * np.exp(log_sigmoid - value)  # d value / d (x . w + b)
+        grad = a.T @ r
+        return value, grad, (a.T * (-ys * r * (1.0 - np.exp(log_sigmoid)))) @ a - np.outer(grad, grad)
 
-    def gradient(p):
-        s = -ys * sigmoid(-ys * (x @ p[:d] + p[d]))
-        return np.append(x.T @ s / n, s.mean())
-
-    def project(p):
+    def on_sphere(p):
         norm = np.linalg.norm(p[:d])
-        return p if norm <= radius else np.append(p[:d] * (radius / norm), p[d])
+        u = p[:d] / norm
+        value, grad, _ = log_loss(radius * u, radius * p[d])
+        return value, np.append((radius / norm) * (grad[:d] - (u @ grad[:d]) * u), radius * grad[d])
 
-    result = projected_gd(GradientProblem(objective, gradient, project, np.zeros(d + 1), max_iters=5000,
-                                          improvement_tol=0.0, relative_improvement_tol=1e-10))
-    return synthetic.LinearBinaryClassifier(weight=result.x[:d], intercept=result.x[d])
+    def newton(p, sphere):
+        _, grad, hess = log_loss(p[:d], p[d])
+        if sphere:
+            u = np.append(p[:d] / radius, 0.0)
+            proj = np.eye(d + 1) - np.outer(u, u)
+            hess = proj @ (hess - (u @ grad / radius) * np.diag(np.append(np.ones(d), 0.0))) @ proj + np.outer(u, u)
+            grad = proj @ grad
+        p = p + np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        return np.append(p[:d] * (radius / np.linalg.norm(p[:d])), p[d]) if sphere else p
+
+    direction = x[y == 1].mean(axis=0) - x[y == 0].mean(axis=0)
+    p = minimize_lbfgs(on_sphere, np.append(direction / np.linalg.norm(direction), 0.0)).x
+    p = newton(np.append(radius * p[:d] / np.linalg.norm(p[:d]), radius * p[d]), sphere=True)
+    if p[:d] @ log_loss(p[:d], p[d])[1][:d] > 0:
+        p = newton(minimize_lbfgs(lambda q: log_loss(q[:d], q[d])[:2], np.zeros(d + 1)).x, sphere=False)
+    return synthetic.LinearBinaryClassifier(weight=p[:d], intercept=p[d])
 
 
 def row_path_rare_atom_experiment(n, epsilon, trials, seed):

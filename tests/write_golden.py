@@ -32,9 +32,10 @@ SWEEPS = {
 
 # A `synth --kind hetero` triple and sidecar from the sweeps' base, a
 # `calibrate` report and model file per method (CTS at gamma 0, 0.5 and
-# inf), and a reliability table under the gamma = inf CTS model. Reports
-# echo their --val and --test paths, so the commands run in the output
-# directory with relative paths.
+# inf), a reliability table under the gamma = inf CTS model, a noisy
+# two-atom sample, and a Theorem 1 trial table whose trial 5 (seed 415)
+# draws a small sample with one label. Reports echo their --val and --test
+# paths, so the commands run in the output directory with relative paths.
 _FITS = {"none": [], "ts": [], "vs": [], "cts_0": ["--gamma", "0"], "cts_0.5": ["--gamma", "0.5"],
          "cts_inf": ["--gamma", "inf"]}
 COMMANDS = [
@@ -43,6 +44,9 @@ COMMANDS = [
        *flags, "--out-report", f"report_{name}.json", "--out-model", f"model_{name}.json"]
       for name, flags in _FITS.items()),
     ["reliability", "--file", "hetero.test.csv", "--model", "model_cts_inf.json", "--out", "reliability.csv"],
+    ["synth", "--kind", "dnoisy", "--seed", "5", "--n", "40", "--p-plus", "0.3", "--p-minus", "0.1", "--p-test", "0.2",
+     "--out", "dnoisy.csv"],
+    ["synth", "--kind", "theorem1", "--seed", "410", "--n", "10", "--trials", "6", "--out", "theorem1.csv"],
 ]
 
 
