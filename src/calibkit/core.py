@@ -11,10 +11,12 @@ are indexed 0..K-1 everywhere, including file formats.
 
 A dataset finds each record's raw top class and top logit once, on first
 use (`LogitDataset.top`). The temperature variants multiply a record's
-logits by one positive factor, which keeps their order, so `predict` takes
-the calibrated row maximum as that factor times the top logit and the
-prediction as the top class, with no reduction over the rows; only records
-whose top probabilities tie after `exp` fall back to an argmax.
+logits by one positive factor, which keeps their order, so `predict`
+shifts each row by its top logit, scales the result as the temperature
+solvers in `optim` do, (z - top) * alpha, and predicts the raw top class:
+a temperature model never changes a prediction, with no reduction over
+the rows. Vector scaling may reorder the classes, so it predicts the
+argmax of its probabilities.
 """
 
 from __future__ import annotations
@@ -295,43 +297,44 @@ def predict(dataset: LogitDataset, model: CalibrationModel) -> PredictionSet:
 
     The calibrated logits are shifted so each row's maximum is 0 and passed
     once through `softmax_nll`; that one pass gives the probabilities, the
-    predicted label (the argmax of the calibrated probabilities: identical
-    to the raw one for temperature variants, possibly different for vector
-    scaling), the confidence, the correctness and the per-record NLL.
-    Deterministic: ties go to the lowest class index. Raises
+    confidence, the correctness and the per-record NLL. Raises
     InvalidInputError if the calibrated logits contain NaN or Inf.
 
-    The temperature variants multiply a record's logits by one positive
-    factor (`row_scale`), and rounding is monotone, so the calibrated row
-    maximum is exactly that factor times the record's cached top logit
-    (`LogitDataset.top`), and the raw top class attains the largest
-    probability. It is the prediction unless another class's probability
-    equals it: a tie, exact in the raw logits or made by the scaling or by
-    `exp`. One comparison over the probabilities finds such rows; if there
-    are any, the prediction falls back to the argmax of the probabilities.
+    The temperature variants (Identity, Temperature, ClassWiseTemperature)
+    shift first and then scale: each row minus its cached top logit
+    (`LogitDataset.top`), times the record's positive factor (`row_scale`),
+    which is the formula `optim.TemperatureProblem` minimizes. The raw top
+    class then has calibrated logit 0, the row maximum, and is the
+    prediction even where `exp` rounds another class's probability up to
+    the same value; raw ties go to the lowest class index. The finiteness
+    check sees (z - top) * alpha: it accepts [1e307, 0.99e307] under alpha =
+    100, though alpha * z overflows, and rejects [1e308, -1e308] under every
+    temperature model, Identity included, since z - top overflows.
+
+    Vector scaling computes scale * z + bias, checks it, subtracts each
+    row's maximum and predicts the argmax of the probabilities, the lowest
+    class index among ties.
     """
     check_model_classes(model, dataset.num_classes)
-    if isinstance(model, Vector):
-        top_class = None
+    vector = isinstance(model, Vector)
+    if vector:
         u = model.scale * dataset.logits + model.bias
     else:
-        top_class, top_logit = dataset.top
-        scale = model.row_scale(top_class)
-        u = scale * dataset.logits
+        pred, top_logit = dataset.top
+        u = dataset.logits - top_logit[:, None]
+        u *= model.row_scale(pred)
     if not np.all(np.isfinite(u)):
         raise InvalidInputError("calibrated logits contain NaN or Inf")
-    u -= u.max(axis=1, keepdims=True) if top_class is None else scale * top_logit[:, None]
+    if vector:
+        u -= u.max(axis=1, keepdims=True)
     probs, total, nll = softmax_nll(u, dataset.labels)
     probs /= total[:, None]
-    n = dataset.num_records
-    pred = np.argmax(probs, axis=1) if top_class is None else top_class
-    confidence = probs[np.arange(n), pred]
-    if top_class is not None and np.count_nonzero(probs == confidence[:, None]) != n:
-        pred = np.argmax(probs, axis=1)  # a tie: the first tied class wins
+    if vector:
+        pred = np.argmax(probs, axis=1)
     return PredictionSet(
         probs=probs,
         predicted=pred,
-        confidence=confidence,
+        confidence=probs[np.arange(dataset.num_records), pred],
         correct=pred == dataset.labels,
         nll=nll,
     )

@@ -4,16 +4,14 @@ Bounded convex scalar minimization (safeguarded Newton with a bisection
 fallback), L-BFGS for smooth unconstrained problems, projected gradient
 descent with backtracking, and the calibration loss under scalar-temperature
 and vector scaling with its analytic derivatives. Both losses take their NLL
-from `core.softmax_nll`, the kernel `predict` uses. For vector scaling the
-value a fit minimizes is bit for bit the NLL `predict` gives; for a
-temperature it matches only to rounding (a few eps relative), since the
-loss scales the shifted logits, (z - top) * alpha, where `predict` shifts
-the scaled ones, alpha * z - alpha * top. The temperature loss takes only a
-`TemperatureProblem`, prepared once per solve: the shifted logits, their
-label entries and one work array that every evaluation computes into, so
-no evaluation allocates an array of the logits' size. A per-class fit
-gathers its records once in class order and gives each class a contiguous
-run of those rows.
+from `core.softmax_nll`, the kernel `predict` uses, on the logits `predict`
+computes: (z - top) * alpha for a temperature. So the value a TS or VS fit
+minimizes is bit for bit the NLL `predict` gives. The temperature loss
+takes only a `TemperatureProblem`, prepared once per solve: the shifted
+logits, their label entries and one work array that every evaluation
+computes into, so no evaluation allocates an array of the logits' size.
+A per-class fit gathers its records once in class order and gives each
+class a contiguous run of those rows.
 Each solver owns its stopping rule as a constant of this module
 (`SCALAR_TOL`; `LBFGS_MAX_ITERS` and `LBFGS_IMPROVEMENT_TOL`), and the
 scalar search always starts at 1, so their callers pass only the problem.
@@ -223,10 +221,14 @@ def _backtrack(
 
     Returns the first (point, loss, gradient) with a strictly lower loss
     that meets the sufficient-decrease condition, or None if no halving does.
+    Rounding is monotone, so once a step rounds to `x` every shorter one
+    does too, and the search returns None there without evaluating it.
     """
     t = 1.0
     for _ in range(_MAX_HALVINGS + 1):
         cand = x + t * d
+        if np.array_equal(cand, x):
+            return None
         cand_loss, cand_grad = evaluate(cand)
         if cand_loss < loss and cand_loss <= loss + _ARMIJO_C1 * t * slope:
             return cand, cand_loss, cand_grad

@@ -535,6 +535,21 @@ class TestCalibrateCommand:
         assert report["warnings"] == identity.warnings
         assert report["changed_records"] == 0
 
+    def test_ts_keeps_predictions_that_exp_would_tie(self, tmp_path):
+        # At alpha <= 0.02 the gap of 1e-15 between the top two logits of the
+        # last 20 records rounds away in exp; the raw top class is still kept.
+        rng = np.random.default_rng(65)
+        logits = np.vstack([rng.normal(size=(180, 3)), np.tile([0.0, 1e-15, -1.0], (20, 1))])
+        labels = np.concatenate([rng.integers(0, 3, 180), np.ones(20, dtype=int)])
+        path, out = tmp_path / "ties.csv", tmp_path / "ts.json"
+        write_logit_csv(LogitDataset(logits, labels), str(path))
+        assert main(["calibrate", "--val", str(path), "--test", str(path), "--method", "ts",
+                     "--alpha-hi", "0.02", "--out-report", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["model"]["alpha"] <= 0.02
+        assert report["changed_records"] == 0
+        assert report["accuracy_after"] == report["accuracy_before"]
+
     def test_vs_runs_and_reports_changes(self, tmp_path):
         rng = np.random.default_rng(64)
         val, test = wellspec_files(tmp_path, rng, n=1200)
@@ -715,6 +730,20 @@ class TestReliabilityCommand:
         out = tmp_path / "rel.csv"
         assert main(["reliability", "--file", val, "--model", str(model_path),
                      "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("row, alpha, code", [([1e307, 0.99e307], 100.0, 0), ([1e308, -1e308], 0.01, 2)])
+    def test_finiteness_check_sees_the_shifted_scaled_logits(self, tmp_path, row, alpha, code):
+        # (z - top) * alpha is finite for the first row, though alpha * z is
+        # not; for the second, z - top overflows, though alpha * z does not.
+        path, model_path, out = tmp_path / "edge.csv", tmp_path / "m.json", tmp_path / "rel.csv"
+        write_logit_csv(LogitDataset(np.array([row, [0.0, 1.0]]), np.array([0, 1])), str(path))
+        model_path.write_text(json.dumps({"method": "ts", "alpha": alpha, "num_classes": 2}))
+        with np.errstate(over="ignore"):
+            got, err = run_main(["reliability", "--file", str(path), "--model", str(model_path), "--out", str(out)])
+        assert got == code and "Traceback" not in err
+        assert out.exists() == (code == 0)
+        if code:
+            assert err == "error: calibrated logits contain NaN or Inf\n"
 
     def _bad_model_exits_2(self, tmp_path, capsys, text):
         rng = np.random.default_rng(70)

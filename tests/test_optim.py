@@ -291,6 +291,21 @@ class TestLBFGS:
         with pytest.raises(OptimizationError), np.errstate(over="ignore"):
             minimize_lbfgs(lambda x: (float(np.exp(x @ x)), 2 * x * np.exp(x @ x)), np.full(2, 2.0))
 
+    def test_line_search_stops_once_the_step_rounds_away(self):
+        # x is the minimizer, so no step lowers the loss. From t = 2**-45 on,
+        # t * d is below half the spacing of floats under 1, so every
+        # candidate is x itself: 45 evaluations instead of 51.
+        calls = []
+
+        def evaluate(point):
+            calls.append(point.copy())
+            return float((point[0] - 1.0) ** 2), 2 * (point - 1.0)
+
+        x = np.ones(1)
+        assert optim._backtrack(evaluate, x, 0.0, np.full(1, -1e-3), -1e-6) is None
+        assert len(calls) == 45 < optim._MAX_HALVINGS + 1
+        assert all(point[0] != 1.0 for point in calls)
+
     def test_zero_gradient_start_returns_at_once(self):
         calls = []
 

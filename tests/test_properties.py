@@ -1,4 +1,4 @@
-"""Hypothesis properties of the temperature and vector-scaling fits and their solvers."""
+"""Hypothesis properties of the calibration models, their fits and their solvers."""
 
 import math
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calibkit.calibrate import FitConfig, fit_cts, fit_ts, fit_vs
-from calibkit.core import LogitDataset, softmax
+from calibkit.core import ClassWiseTemperature, Identity, LogitDataset, Temperature, predict, softmax
 from calibkit.optim import SCALAR_TOL, TemperatureProblem, temperature_nll
 
 CFG = FitConfig()
@@ -118,3 +118,26 @@ def test_finite_gamma_is_the_decoupled_fit_clipped_exactly(seed, k, gamma):
 def test_vs_never_worse_than_ts(seed):
     ds = informative_dataset(seed)
     assert fit_vs(ds).val_nll <= fit_ts(ds).val_nll + 1e-12
+
+
+# Exactly tied logits and gaps of 1e-17 to 1e-13, which `exp` may round
+# away once they are scaled.
+GAPS = st.just(0.0) | st.floats(1e-17, 1e-13) | st.floats(-1e-13, -1e-17)
+NEAR_TIES = st.builds(lambda base, gap: base + gap, st.sampled_from([0.0, 1.0, -3.0]), GAPS)
+TEMPERATURES = st.floats(0.01, 100.0)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_temperature_models_never_change_a_prediction(data):
+    n, k = data.draw(st.integers(1, 10)), data.draw(st.integers(2, 5))
+    logits = np.array(data.draw(st.lists(NEAR_TIES, min_size=n * k, max_size=n * k))).reshape(n, k)
+    ds = LogitDataset(logits, np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))))
+    alphas = np.array(data.draw(st.lists(TEMPERATURES, min_size=k, max_size=k)))
+    models = [Identity(), Temperature(data.draw(TEMPERATURES)),
+              ClassWiseTemperature(data.draw(TEMPERATURES), alphas, math.inf)]
+    correct = predict(ds, Identity()).correct
+    for model in models:
+        preds = predict(ds, model)
+        assert preds.predicted.tobytes() == np.argmax(logits, axis=1).tobytes()
+        assert preds.correct.tobytes() == correct.tobytes()

@@ -1,8 +1,7 @@
 """The cached top pair of a dataset, and the predict/temperature_nll paths that read it.
 
-Each fast path is checked bit for bit against the formula it replaced,
-kept here as a reference: scale the logits, subtract each row's maximum,
-and take the argmax of the probabilities.
+Each path is checked bit for bit against a reference that subtracts each
+row's maximum from the raw logits, then scales, and predicts the raw argmax.
 """
 
 import sys
@@ -25,22 +24,23 @@ from calibkit.errors import InvalidInputError
 from calibkit.optim import TemperatureProblem, temperature_nll
 
 
-def reference_scaled_logits(logits, model):
+def reference_scale(logits, model):
     if isinstance(model, Temperature):
-        return model.alpha * logits
+        return model.alpha
     if isinstance(model, ClassWiseTemperature):
-        return model.alphas[np.argmax(logits, axis=1)][:, None] * logits
-    return np.asarray(logits, dtype=np.float64)
+        return model.alphas[np.argmax(logits, axis=1)][:, None]
+    return 1.0
 
 
 def reference_predict(ds, model):
-    """(probs, predicted, confidence, correct, nll) by scale, row-max shift and argmax."""
-    u = reference_scaled_logits(ds.logits, model)
+    """(probs, predicted, confidence, correct, nll) by row-max shift, scale and raw argmax."""
+    z = ds.logits
+    u = (z - z.max(axis=1, keepdims=True)) * reference_scale(z, model)
     if not np.all(np.isfinite(u)):
         raise InvalidInputError("calibrated logits contain NaN or Inf")
-    probs, total, nll = softmax_nll(u - u.max(axis=1, keepdims=True), ds.labels)
+    probs, total, nll = softmax_nll(u, ds.labels)
     probs /= total[:, None]
-    pred = np.argmax(probs, axis=1)
+    pred = np.argmax(z, axis=1)
     return probs, pred, probs[np.arange(ds.num_records), pred], pred == ds.labels, nll
 
 
@@ -73,7 +73,7 @@ def outcome(fn):
 
 
 # Exact ties, signed zeros, gaps of about 1e-17 that `exp` rounds away,
-# and logits large enough to overflow once scaled.
+# and logits large enough to overflow once shifted or scaled.
 SPECIAL = [0.0, -0.0, 1e-17, -1e-17, 5e-17, 1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, -1.0, 3.5,
            700.0, -745.0, 1e300, -1e300, 1.7e308, -1.7e308]
 ELEMENTS = st.one_of(st.sampled_from(SPECIAL), st.floats(-60, 60))
@@ -104,7 +104,7 @@ def models(draw, k):
 class TestPredictMatchesReference:
     @given(st.data())
     @settings(max_examples=600, deadline=None)
-    def test_bit_identical_to_scale_shift_argmax(self, data):
+    def test_bit_identical_to_shift_scale_raw_argmax(self, data):
         ds = data.draw(datasets(), label="dataset")
         model = data.draw(models(ds.num_classes), label="model")
         want = outcome(lambda: reference_predict(ds, model))
@@ -123,20 +123,31 @@ class TestPredictMatchesReference:
         else:
             assert got_mean is InvalidInputError
 
-    def test_tie_made_by_exp_falls_back_to_lowest_class(self):
-        # The raw top class is 1, but exp(-1e-17) rounds to 1: both classes
-        # get the same probability, and the lower index wins.
-        ds = LogitDataset(np.array([[-1e-17, 0.0], [0.0, 2.0]]), np.array([0, 1]))
-        assert ds.top[0].tolist() == [1, 1]
+    def test_tie_made_by_exp_keeps_the_raw_top_class(self):
+        # The raw top class is 1, and exp(-1e-17) rounds to 1: both classes
+        # get the same probability, and the prediction stays at class 1. The
+        # raw tie in the last row goes to the lower index.
+        ds = LogitDataset(np.array([[-1e-17, 0.0], [0.0, 2.0], [3.0, 3.0]]), np.array([0, 1, 1]))
+        assert ds.top[0].tolist() == [1, 1, 0]
         for model in (Identity(), Temperature(0.7), ClassWiseTemperature(1.0, np.array([0.5, 3.0]), np.inf)):
             preds = predict(ds, model)
-            assert preds.predicted.tolist() == [0, 1]
+            assert preds.predicted.tolist() == [1, 1, 0]
             assert preds.probs[0, 0] == preds.probs[0, 1] == preds.confidence[0]
 
     def test_scaled_overflow_is_rejected_like_the_reference(self):
-        ds = LogitDataset(np.array([[1e307, 0.0]]), np.array([0]))
-        with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
-            predict(ds, Temperature(100.0))
+        # (z - top) * 100 overflows in the first row. In the second, 0.01 * z
+        # is finite, but z - top = [0, -inf] whatever the scale.
+        for row, model in (([1e307, 0.0], Temperature(100.0)), ([1e308, -1e308], Identity()),
+                           ([1e308, -1e308], Temperature(0.01))):
+            ds = LogitDataset(np.array([row]), np.array([0]))
+            with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
+                predict(ds, model)
+
+    def test_scaling_the_shifted_logits_keeps_them_finite(self):
+        # 100 * z overflows, but (z - top) * 100 = [0, -1e307] does not.
+        ds = LogitDataset(np.array([[1e307, 0.99e307]]), np.array([0]))
+        preds = predict(ds, Temperature(100.0))
+        assert preds.predicted.tolist() == [0] and preds.probs.tolist() == [[1.0, 0.0]]
 
 
 class TestTemperatureNllMatchesReference:
