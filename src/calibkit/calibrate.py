@@ -13,10 +13,10 @@ class order.
 Vector scaling (VS) fits a per-class scale and bias by one L-BFGS solve
 from the TS solution and may change predictions; temperature variants
 never do. Each fit hands its solver only the problem; constants in
-`optim` decide when a solve stops. Each fit ends with one `predict` pass
-over the validation set, which gives the fitted model's validation NLL;
-applying a model to data, and so its accuracy before and after, is
-`core.predict`.
+`optim` decide when a solve stops. Each fit reports as its validation NLL
+the value of the objective its own solves minimized, at the fitted
+parameters, with no second pass over the validation set; applying a model
+to data, and so its accuracy before and after, is `core.predict`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .core import (
     Vector,
     check_model_classes,
     class_order,
-    predict,
 )
+from .core import predict  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 from .core import softmax  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
 from .errors import EmptyDatasetError, InvalidModelError, check_int, check_real
 from .metrics import nll  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
@@ -92,8 +92,15 @@ class FitConfig:
 class FitResult:
     """Fitted model plus fit diagnostics on the validation dataset.
 
+    `val_nll` is the mean validation NLL at the fitted parameters, the value
+    of the objective the fit minimized: the scalar search's for TS, the
+    L-BFGS solve's for VS, and for CTS the shared TS value at gamma = 0 or
+    else one evaluation of the class-ordered problem its class solves use,
+    each record scaled by its class's temperature. `predict` computes the
+    same per-record NLLs, and its record-order mean agrees to rounding.
     `iterations` counts objective evaluations: scalar-search evaluations for
     TS and CTS, and for VS the TS evaluations plus the L-BFGS evaluations.
+    CTS's closing evaluation is not counted.
     """
 
     model: CalibrationModel
@@ -110,8 +117,8 @@ def _boundary_warnings(name: str, alpha: float, cfg: FitConfig) -> list[str]:
     return []
 
 
-def _scalar_fit(problem: TemperatureProblem, cfg: FitConfig) -> tuple[float, int]:
-    """Temperature minimizing the NLL of `problem`'s records on [alpha_lo, alpha_hi], and the evaluations used.
+def _scalar_fit(problem: TemperatureProblem, cfg: FitConfig) -> tuple[float, float, int]:
+    """Temperature minimizing the NLL of `problem`'s records on [alpha_lo, alpha_hi], that NLL, and the evaluations used.
 
     Every search starts at alpha = 1, so a predicted-class slice's result
     depends only on that slice.
@@ -123,26 +130,21 @@ def _scalar_fit(problem: TemperatureProblem, cfg: FitConfig) -> tuple[float, int
         evals += 1
         return temperature_nll(problem, alpha)
 
-    alpha, _ = minimize_scalar(ScalarProblem(objective, cfg.alpha_lo, cfg.alpha_hi))
-    return alpha, evals
+    alpha, value = minimize_scalar(ScalarProblem(objective, cfg.alpha_lo, cfg.alpha_hi))
+    return alpha, value, evals
 
 
-def _finish(model, val, evals, fallbacks, warnings) -> FitResult:
-    return FitResult(
-        model=model,
-        val_nll=predict(val, model).mean_nll,
-        iterations=evals,
-        fallback_classes=fallbacks,
-        warnings=warnings,
-    )
+def _shared_fit(val: LogitDataset, cfg: FitConfig) -> tuple[float, float, int]:
+    """The TS solve every fit starts from: its temperature, validation NLL and evaluations."""
+    if val.num_records == 0:
+        raise EmptyDatasetError("cannot fit on an empty validation set")
+    return _scalar_fit(TemperatureProblem.of(val), cfg)
 
 
 def fit_ts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit temperature scaling by minimizing validation NLL over [alpha_lo, alpha_hi]."""
-    if val.num_records == 0:
-        raise EmptyDatasetError("cannot fit on an empty validation set")
-    alpha, evals = _scalar_fit(TemperatureProblem.of(val), cfg)
-    return _finish(Temperature(alpha), val, evals, [], _boundary_warnings("TS", alpha, cfg))
+    alpha, value, evals = _shared_fit(val, cfg)
+    return FitResult(Temperature(alpha), value, evals, warnings=_boundary_warnings("TS", alpha, cfg))
 
 
 def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
@@ -159,11 +161,11 @@ def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     per-slice terms, so this is the joint optimum. Empty slices keep
     alpha0, and gamma = 0 copies alpha0 into every class without a search.
     At gamma = inf a slice with fewer than `min_class_samples` records also
-    keeps alpha0 and is flagged as a fallback.
+    keeps alpha0 and is flagged as a fallback. The reported NLL is one more
+    evaluation of the class-ordered problem, each row at its class's
+    temperature (alpha0's NLL at gamma = 0).
     """
-    if val.num_records == 0:
-        raise EmptyDatasetError("cannot fit on an empty validation set")
-    alpha0, evals = _scalar_fit(TemperatureProblem.of(val), cfg)
+    alpha0, value, evals = _shared_fit(val, cfg)
     warnings = _boundary_warnings("CTS shared", alpha0, cfg)
     alphas, fallbacks = np.full(val.num_classes, alpha0), []
     if cfg.gamma > 0:
@@ -175,13 +177,13 @@ def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
                 continue
             if stop == start:
                 continue
-            alpha, used = _scalar_fit(problem.rows(start, stop), cfg)
+            alpha, _, used = _scalar_fit(problem.rows(start, stop), cfg)
             alphas[k] = min(max(alpha, alpha0 - cfg.gamma), alpha0 + cfg.gamma)
             evals += used
             warnings += _boundary_warnings(f"CTS class {k}", alphas[k], cfg)
-        del problem  # the class solves are done: free their arrays before the final predict pass
+        value = temperature_nll(problem, np.repeat(alphas, np.diff(starts))[:, None])[0]
     model = ClassWiseTemperature(alpha0, alphas, cfg.gamma)
-    return _finish(model, val, evals, fallbacks, warnings)
+    return FitResult(model, value, evals, fallbacks, warnings)
 
 
 def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
@@ -193,10 +195,8 @@ def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     OptimizationError if it does not converge within `optim.LBFGS_MAX_ITERS`
     iterations. Vector scaling can change predictions.
     """
-    if val.num_records == 0:
-        raise EmptyDatasetError("cannot fit on an empty validation set")
     k = val.num_classes
-    alpha_ts, evals = _scalar_fit(TemperatureProblem.of(val), cfg)
+    alpha_ts, _, evals = _shared_fit(val, cfg)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evals
@@ -206,7 +206,7 @@ def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
 
     x0 = np.concatenate([np.full(k, alpha_ts), np.zeros(k)])
     result = minimize_lbfgs(objective, x0)
-    return _finish(Vector(result.x[:k], result.x[k:]), val, evals, [], [])
+    return FitResult(Vector(result.x[:k], result.x[k:]), result.loss, evals)
 
 
 _METHOD_NAMES = {Identity: "none", Temperature: "ts", ClassWiseTemperature: "cts", Vector: "vs"}

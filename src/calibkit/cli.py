@@ -391,7 +391,12 @@ def main(argv=None) -> int:
     try:
         # Inside the try: the numeric flag types raise ConfigError.
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # Extreme logits can overflow in the fits' and reports' array arithmetic.
+        # Each such result either fails a finiteness check, which ends in one
+        # `error:` line, or gives a finite objective, so numpy's RuntimeWarning
+        # would only be noise on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ClassCountMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

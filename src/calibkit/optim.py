@@ -5,9 +5,10 @@ fallback), L-BFGS for smooth unconstrained problems, projected gradient
 descent with backtracking, and the calibration loss under scalar-temperature
 and vector scaling with its analytic derivatives. Both losses take their NLL
 from `core.softmax_nll`, the kernel `predict` uses, on the logits `predict`
-computes: (z - top) * alpha for a temperature. So the value a TS or VS fit
-minimizes is bit for bit the NLL `predict` gives. The temperature loss
-takes only a `TemperatureProblem`, prepared once per solve: the shifted
+computes: (z - top) * alpha for a temperature. So the per-record NLLs a
+fit minimizes are bit for bit those `predict` gives, and a fit reports the
+mean its own solve reached. The temperature loss takes only a
+`TemperatureProblem`, prepared once per solve: the shifted
 logits, their label entries and one work array that every evaluation
 computes into, so no evaluation allocates an array of the logits' size.
 A per-class fit gathers its records once in class order and gives each
@@ -340,9 +341,11 @@ class TemperatureProblem:
         return self.shifted.shape[1]
 
 
-def temperature_nll(problem: TemperatureProblem, alpha: float) -> tuple[float, float, float]:
+def temperature_nll(problem: TemperatureProblem, alpha: float | np.ndarray) -> tuple[float, float, float]:
     """Mean NLL of the true labels under softmax(alpha * logits) and its alpha-derivatives.
 
+    `alpha` is one temperature, or a column holding one temperature per
+    record (shape (N, 1)); the derivatives are taken along a shared alpha.
     Returns (mean NLL, mean(E_p[z] - z_y), mean(Var_p[z])) from one softmax
     pass over every record of the prepared `problem`. The second derivative
     is a variance, so the NLL is convex in alpha. The scaled logits go into

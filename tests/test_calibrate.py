@@ -21,10 +21,11 @@ from calibkit.core import (
     LogitDataset,
     Temperature,
     Vector,
+    class_order,
     predict,
     softmax,
 )
-from calibkit.errors import ConfigError, EmptyDatasetError, InvalidModelError, OptimizationError
+from calibkit.errors import ConfigError, EmptyDatasetError, InvalidInputError, InvalidModelError, OptimizationError
 from calibkit.metrics import compute_report, nll
 from calibkit.optim import (
     SCALAR_TOL,
@@ -532,6 +533,8 @@ class TestObjectiveIsTheReportedNll:
     """The NLL a fit minimizes against the `val_nll` it reports, bit for bit.
 
     The TS loss and `predict` both scale the shifted logits, (z - top) * alpha.
+    CTS at gamma > 0 reports its class-ordered objective, whose record-order
+    mean in `predict` agrees to rounding.
     """
 
     DRAWS = [(k, seed) for k in (3, 10, 30) for seed in range(8)]
@@ -553,3 +556,40 @@ class TestObjectiveIsTheReportedNll:
         val = self.val_set(k, seed)
         fit = fit_vs(val)
         assert nll_grad_vector(val, fit.model.scale, fit.model.bias)[0] == fit.val_nll
+
+    @staticmethod
+    def objective(val, model):
+        """The objective a fit minimized, at `model`'s parameters: for CTS at gamma > 0, its class-ordered problem."""
+        if isinstance(model, Vector):
+            return nll_grad_vector(val, model.scale, model.bias)[0]
+        if isinstance(model, Temperature):
+            return temperature_nll(TemperatureProblem.of(val), model.alpha)[0]
+        if model.gamma == 0:
+            return temperature_nll(TemperatureProblem.of(val), model.alpha0)[0]
+        order, starts = class_order(val.top[0], val.num_classes)
+        return temperature_nll(TemperatureProblem.of(val, order), np.repeat(model.alphas, np.diff(starts))[:, None])[0]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, math.inf])
+    @pytest.mark.parametrize("k, seed", DRAWS)
+    def test_cts_exact(self, k, seed, gamma):
+        val = self.val_set(k, seed)
+        fit = fit_cts(val, FitConfig(gamma=gamma))
+        assert self.objective(val, fit.model) == fit.val_nll
+        if gamma == 0:
+            assert fit.val_nll == fit_ts(val).val_nll
+        assert abs(fit.val_nll - predict(val, fit.model).mean_nll) <= 4 * np.finfo(float).eps * fit.val_nll
+
+    @pytest.mark.parametrize("fit", [
+        fit_ts, fit_cts, lambda val: fit_cts(val, FitConfig(gamma=0.5, min_class_samples=0)), fit_vs,
+    ], ids=["ts", "cts-fallback", "cts-0.5", "vs"])
+    def test_logits_that_overflow_only_at_the_fit(self, fit):
+        # At alpha = 100 the first record's calibrated logit -1e309 overflows:
+        # its probability rounds to 0, so the objective stays finite and the
+        # fit succeeds, while `predict` rejects the calibrated logits.
+        val = LogitDataset(np.array([[0.0, -1e307], [0.0, -5.0], [-5.0, 0.0]]), np.array([0, 0, 1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = fit(val)
+            assert math.isfinite(result.val_nll)
+            assert self.objective(val, result.model) == result.val_nll
+            with pytest.raises(InvalidInputError):
+                predict(val, result.model)

@@ -731,15 +731,17 @@ class TestReliabilityCommand:
         assert main(["reliability", "--file", val, "--model", str(model_path),
                      "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("row, alpha, code", [([1e307, 0.99e307], 100.0, 0), ([1e308, -1e308], 0.01, 2)])
+    @pytest.mark.parametrize("row, alpha, code", [
+        ([1e307, 0.99e307], 100.0, 0), ([1e308, -1e308], 0.01, 2), ([0.0, -1e307], 100.0, 2)])
     def test_finiteness_check_sees_the_shifted_scaled_logits(self, tmp_path, row, alpha, code):
         # (z - top) * alpha is finite for the first row, though alpha * z is
         # not; for the second, z - top overflows, though alpha * z does not.
+        # The third is the band record that TS fits at alpha = 100
+        # (TestOverflowStaysOffStderr): the fitted model does not apply to it.
         path, model_path, out = tmp_path / "edge.csv", tmp_path / "m.json", tmp_path / "rel.csv"
         write_logit_csv(LogitDataset(np.array([row, [0.0, 1.0]]), np.array([0, 1])), str(path))
         model_path.write_text(json.dumps({"method": "ts", "alpha": alpha, "num_classes": 2}))
-        with np.errstate(over="ignore"):
-            got, err = run_main(["reliability", "--file", str(path), "--model", str(model_path), "--out", str(out)])
+        got, err = run_main(["reliability", "--file", str(path), "--model", str(model_path), "--out", str(out)])
         assert got == code and "Traceback" not in err
         assert out.exists() == (code == 0)
         if code:
@@ -795,6 +797,44 @@ class TestReliabilityCommand:
         assert code in (2, 3)
         assert err.startswith("error: ")
         assert not (folder / "rel.csv").exists()
+
+
+class TestOverflowStaysOffStderr:
+    """Logits that overflow in the fits' or the reports' arithmetic: exit codes and stderr, exactly.
+
+    The CLI runs without numpy's floating-point warnings, so stderr holds
+    only its own `warning:` and `error:` lines (and pytest's RuntimeWarning
+    filter would turn a leaked warning into an exception).
+    """
+
+    BAND_VAL = "logit_0,logit_1,label\n0,-1e307,0\n0,-5,0\n-5,0,1\n"
+    BAND_TEST = "logit_0,logit_1,label\n0,-5,0\n-5,0,1\n"
+
+    @pytest.mark.parametrize("method, expected", [
+        ("ts", "warning: TS temperature 100 is at a search boundary [0.01, 100.0]\n"),
+        ("cts", "warning: CTS shared temperature 100 is at a search boundary [0.01, 100.0]\n"
+                "warning: classes [0, 1] fell back to the shared temperature\n"),
+        ("vs", ""),
+    ], ids=["ts", "cts", "vs"])
+    def test_band_fits_under_every_method(self, tmp_path, method, expected):
+        # The first record's calibrated logit overflows only at the fitted
+        # temperature 100: its probability rounds to 0 and the fit succeeds.
+        val, test = tmp_path / "val.csv", tmp_path / "test.csv"
+        val.write_text(self.BAND_VAL)
+        test.write_text(self.BAND_TEST)
+        code, err = run_main(["calibrate", "--val", str(val), "--test", str(test), "--method", method,
+                              "--out-report", str(tmp_path / "r.json")])
+        assert (code, err) == (0, expected)
+
+    def test_edge_file_fit_exits_4(self, tmp_path):
+        # z - top overflows on the first row, so no fit's objective is finite.
+        edge = tmp_path / "e.csv"
+        edge.write_text("logit_0,logit_1,label\n1e308,-1e308,0\n0,1,1\n")
+        code, err = run_main(["calibrate", "--val", str(edge), "--test", str(edge), "--method", "ts",
+                              "--out-report", str(tmp_path / "r.json")])
+        assert code == 4 and err.count("\n") == 1
+        assert err.startswith("error: optimization failed: objective is not finite at x=1.0: (")
+        assert err.endswith(", nan, nan)\n")
 
 
 class TestSynthCommand:

@@ -356,7 +356,7 @@ class TestReport:
 
 
 class TestOnePass:
-    """Every NLL the library reports is the mean of one `predict` pass."""
+    """Every NLL a report gives is the mean of one `predict` pass, and these fits' `val_nll` equals it."""
 
     def test_report_nll_metric_and_fit_agree_exactly(self):
         rng = np.random.default_rng(31)
