@@ -6,10 +6,11 @@ temperature per predicted class to the shared TS temperature alpha0 within
 radius gamma. With alpha0 fixed the CTS objective splits by predicted class,
 and each class's NLL is convex in its temperature, so every gamma > 0 runs
 one scalar search per predicted-class slice on [alpha_lo, alpha_hi] and
-clips its result to alpha0 +/- gamma; gamma = 0 collapses to TS. Each
-search evaluates one `optim.TemperatureProblem`, prepared before it starts;
-the class slices are contiguous runs of one gather of the shifted logits in
-class order.
+clips its result to alpha0 +/- gamma; gamma = 0 collapses to TS. One
+TS solve and these class searches serve TS and CTS at any number of gammas
+(`_temperature_fits`). Each search evaluates one `optim.TemperatureProblem`,
+prepared before it starts; the class slices are contiguous runs of one
+gather of the shifted logits in class order.
 Vector scaling (VS) fits a per-class scale and bias by one L-BFGS solve
 from the TS solution and may change predictions; temperature variants
 never do. Each fit hands its solver only the problem; constants in
@@ -98,9 +99,10 @@ class FitResult:
     else one evaluation of the class-ordered problem its class solves use,
     each record scaled by its class's temperature. `predict` computes the
     same per-record NLLs, and its record-order mean agrees to rounding.
-    `iterations` counts objective evaluations: scalar-search evaluations for
-    TS and CTS, and for VS the TS evaluations plus the L-BFGS evaluations.
-    CTS's closing evaluation is not counted.
+    `iterations` counts objective evaluations: for TS its scalar search's,
+    for CTS the TS evaluations plus those of the class searches it uses (a
+    fallback class uses none), and for VS the TS evaluations plus the
+    L-BFGS evaluations. CTS's closing evaluation is not counted.
     """
 
     model: CalibrationModel
@@ -134,56 +136,67 @@ def _scalar_fit(problem: TemperatureProblem, cfg: FitConfig) -> tuple[float, flo
     return alpha, value, evals
 
 
-def _shared_fit(val: LogitDataset, cfg: FitConfig) -> tuple[float, float, int]:
-    """The TS solve every fit starts from: its temperature, validation NLL and evaluations."""
+def _temperature_fits(val: LogitDataset, cfg: FitConfig, gammas=()) -> tuple[FitResult, list[FitResult]]:
+    """The TS fit of `val` and one CTS fit per radius in `gammas`, from one TS solve.
+
+    Every temperature fit starts here: one empty-set check and one search
+    for the shared temperature alpha0, which reads no gamma. Records are
+    split by the argmax of their raw logits (`LogitDataset.top`), the rule
+    `predict` routes class temperatures by. When some gamma is positive, the
+    shifted logits are gathered once in class order and each non-empty
+    slice, a contiguous run of those rows, is searched once on
+    [alpha_lo, alpha_hi]; slices below `min_class_samples` are skipped when
+    every positive gamma is inf, since none would use them. Each gamma then
+    clips those optima to [alpha0 - gamma, alpha0 + gamma]. The NLL is
+    convex in the temperature, so the clipped optimum is the slice's
+    optimum on the intersection of the two intervals, and the objective is
+    a sum of per-slice terms, so this is the joint optimum. Empty slices
+    keep alpha0, and gamma = 0 copies alpha0 into every class. At gamma =
+    inf a slice with fewer than `min_class_samples` records also keeps
+    alpha0 and is flagged as a fallback. A CTS fit counts the TS
+    evaluations plus those of the classes it uses; its reported NLL is one
+    more evaluation of the class-ordered problem, each row at its class's
+    temperature (alpha0's NLL at gamma = 0).
+    """
     if val.num_records == 0:
         raise EmptyDatasetError("cannot fit on an empty validation set")
-    return _scalar_fit(TemperatureProblem.of(val), cfg)
+    alpha0, value, evals = _scalar_fit(TemperatureProblem.of(val), cfg)
+    if any(g > 0 for g in gammas):
+        order, starts = class_order(val.top[0], val.num_classes)
+        problem, sizes = TemperatureProblem.of(val, order), np.diff(starts)
+        floor = 1 if any(0 < g < math.inf for g in gammas) else max(1, cfg.min_class_samples)
+        searches = {k: _scalar_fit(problem.rows(starts[k], starts[k + 1]), cfg)
+                    for k in range(val.num_classes) if sizes[k] >= floor}
+    # Only a gamma > 0 reads `sizes`, `problem` and `searches`, and then they exist.
+    fits = []
+    for gamma in gammas:
+        fallbacks = [k for k in range(val.num_classes) if sizes[k] < cfg.min_class_samples] if math.isinf(gamma) else []
+        alphas, used, warnings = np.full(val.num_classes, alpha0), evals, _boundary_warnings("CTS shared", alpha0, cfg)
+        if gamma > 0:
+            for k, (alpha, _, n) in searches.items():
+                if k not in fallbacks:
+                    alphas[k] = min(max(alpha, alpha0 - gamma), alpha0 + gamma)
+                    used += n
+                    warnings += _boundary_warnings(f"CTS class {k}", alphas[k], cfg)
+        cts_value = value if gamma == 0 else temperature_nll(problem, np.repeat(alphas, sizes)[:, None])[0]
+        fits.append(FitResult(ClassWiseTemperature(alpha0, alphas, gamma), cts_value, used, fallbacks, warnings))
+    return FitResult(Temperature(alpha0), value, evals, warnings=_boundary_warnings("TS", alpha0, cfg)), fits
 
 
 def fit_ts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit temperature scaling by minimizing validation NLL over [alpha_lo, alpha_hi]."""
-    alpha, value, evals = _shared_fit(val, cfg)
-    return FitResult(Temperature(alpha), value, evals, warnings=_boundary_warnings("TS", alpha, cfg))
+    return _temperature_fits(val, cfg)[0]
 
 
 def fit_cts(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit class-wise temperature scaling under the configured gamma.
 
-    alpha0 is the TS solution. Records are split by the argmax of their raw
-    logits (`LogitDataset.top`), the rule `predict` routes class
-    temperatures by. The shifted logits are gathered once in class order,
-    and each non-empty slice, a contiguous run of those rows, gets its own
-    temperature: one search of that slice's NLL on [alpha_lo, alpha_hi],
-    clipped to [alpha0 - gamma, alpha0 + gamma]. The NLL is convex in the
-    temperature, so the clipped optimum is the slice's optimum on the
-    intersection of the two intervals, and the objective is a sum of
-    per-slice terms, so this is the joint optimum. Empty slices keep
-    alpha0, and gamma = 0 copies alpha0 into every class without a search.
-    At gamma = inf a slice with fewer than `min_class_samples` records also
-    keeps alpha0 and is flagged as a fallback. The reported NLL is one more
-    evaluation of the class-ordered problem, each row at its class's
-    temperature (alpha0's NLL at gamma = 0).
+    alpha0 is the TS solution, and each predicted class gets its own
+    temperature within [alpha0 - gamma, alpha0 + gamma]; `_temperature_fits`
+    documents the split, the class searches, the fallbacks and the
+    reported NLL.
     """
-    alpha0, value, evals = _shared_fit(val, cfg)
-    warnings = _boundary_warnings("CTS shared", alpha0, cfg)
-    alphas, fallbacks = np.full(val.num_classes, alpha0), []
-    if cfg.gamma > 0:
-        order, starts = class_order(val.top[0], val.num_classes)
-        problem = TemperatureProblem.of(val, order)
-        for k, (start, stop) in enumerate(zip(starts, starts[1:])):
-            if math.isinf(cfg.gamma) and stop - start < cfg.min_class_samples:
-                fallbacks.append(k)
-                continue
-            if stop == start:
-                continue
-            alpha, _, used = _scalar_fit(problem.rows(start, stop), cfg)
-            alphas[k] = min(max(alpha, alpha0 - cfg.gamma), alpha0 + cfg.gamma)
-            evals += used
-            warnings += _boundary_warnings(f"CTS class {k}", alphas[k], cfg)
-        value = temperature_nll(problem, np.repeat(alphas, np.diff(starts))[:, None])[0]
-    model = ClassWiseTemperature(alpha0, alphas, cfg.gamma)
-    return FitResult(model, value, evals, fallbacks, warnings)
+    return _temperature_fits(val, cfg, [cfg.gamma])[1][0]
 
 
 def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
@@ -196,7 +209,8 @@ def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
     iterations. Vector scaling can change predictions.
     """
     k = val.num_classes
-    alpha_ts, _, evals = _shared_fit(val, cfg)
+    ts, _ = _temperature_fits(val, cfg)
+    evals = ts.iterations
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evals
@@ -204,7 +218,7 @@ def fit_vs(val: LogitDataset, cfg: FitConfig = FitConfig()) -> FitResult:
         loss, ga, gb = nll_grad_vector(val, x[:k], x[k:])
         return loss, np.concatenate([ga, gb])
 
-    x0 = np.concatenate([np.full(k, alpha_ts), np.zeros(k)])
+    x0 = np.concatenate([np.full(k, ts.model.alpha), np.zeros(k)])
     result = minimize_lbfgs(objective, x0)
     return FitResult(Vector(result.x[:k], result.x[k:]), result.loss, evals)
 

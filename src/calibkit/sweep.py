@@ -1,14 +1,15 @@
 """Generate-fit-evaluate sweeps over noise rate, class size, gamma, and validation size.
 
-Each validation set gets one `fit_cts` per configuration, and its TS row
-comes from the first fit's shared temperature alpha0: `fit_cts` begins with
-the TS solve, which does not read gamma, so no sweep calls `fit_ts`. The
-noise and size axes draw a dataset per value and fit it once; the gamma
-axis draws one, fits CTS once per value and scores TS once for all of
-them. Rows carry the test-set calibration metrics (`nll` is the test NLL)
-plus the fitted model's validation NLL and the gap |val_nll - nll|, the
-generalization signal for the validation-size axis. Points (and n_val
-trials) run in order, and rows are sorted by (axis_value, method).
+Each validation set gets one TS solve, and at most one search per predicted
+class, however many gammas it is fitted at: `calibrate._temperature_fits`
+returns its TS fit and one CTS fit per gamma. The noise, size and n_val
+axes draw a validation set per value and fit it at the configured gamma;
+the gamma axis draws one and fits it at every value. The TS row is scored
+once per validation set and repeated at each of its axis values. Rows carry
+the test-set calibration metrics (`nll` is the test NLL) plus the fitted
+model's validation NLL and the gap |val_nll - nll|, the generalization
+signal for the validation-size axis. Points (and n_val trials) run in
+order, and rows are sorted by (axis_value, method).
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .calibrate import FitConfig, fit_cts
-from .calibrate import fit_ts  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
-from .core import Temperature, predict
+from .calibrate import FitConfig, _temperature_fits
+from .calibrate import fit_cts, fit_ts  # noqa: F401  (unused here; bench/tracer.py wraps them at this module)
 from .errors import ConfigError, check_array, check_int
 from .metrics import BinningConfig, compute_report
 from .metrics import nll  # noqa: F401  (unused here; bench/tracer.py wraps it at this module)
@@ -55,16 +55,15 @@ def _row(axis_value, method, model, val_nll, test, binning) -> SweepRow:
     return SweepRow(axis_value, method, r.ece, r.max_ece, r.avg_ece, r.nll, r.accuracy, val_nll, abs(val_nll - r.nll))
 
 
-def _rows(val, test, points, binning) -> list[SweepRow]:
-    """The ts and cts rows of one validation/test pair at each (axis value, FitConfig) in `points`.
+def _rows(val, test, cfg, points, binning) -> list[SweepRow]:
+    """The ts and cts rows of one validation/test pair at each (axis value, gamma) in `points`.
 
-    `fit_cts` begins with the TS solve, which does not read gamma, so the
-    first fit's alpha0 is the TS temperature; TS is scored once and its row
+    One `_temperature_fits` call fits TS and CTS at every gamma; the TS row
+    takes the validation NLL its solve reached, is scored once and is
     repeated at every axis value.
     """
-    fits = [fit_cts(val, cfg) for _, cfg in points]
-    ts = Temperature(fits[0].model.alpha0)
-    ts_row = _row(math.nan, "ts", ts, predict(val, ts).mean_nll, test, binning)
+    ts, fits = _temperature_fits(val, cfg, [gamma for _, gamma in points])
+    ts_row = _row(math.nan, "ts", ts.model, ts.val_nll, test, binning)
     return [row for (v, _), fit in zip(points, fits)
             for row in (replace(ts_row, axis_value=v), _row(v, "cts", fit.model, fit.val_nll, test, binning))]
 
@@ -116,7 +115,7 @@ def _nval_rows(
         for n_val in sizes:
             per_class = n_val // k
             idx = np.concatenate([np.arange(s, s + per_class) for s in starts])
-            rows += _rows(val_pool.subset(idx), test, [(float(n_val), cfg)], binning)
+            rows += _rows(val_pool.subset(idx), test, cfg, [(float(n_val), cfg.gamma)], binning)
         return rows
 
     # Every trial yields its rows in the same (size, method) order, so
@@ -141,15 +140,14 @@ def run_sweep(
 
     noise: label-noise rate on the first half of the classes.
     size: sampling fraction of the first half of the classes.
-    gamma: CTS radius on one draw of `base`, one `fit_cts` per value.
+    gamma: CTS radius on one draw of `base`, every value fitted from one
+    TS solve and one set of class searches.
     n_val: validation-set size, a multiple of K, averaged over `trials`
     (at least 1) seeded trials, each scored on K * (`test_records` // K)
     test records (`test_records` is at least K).
     Every value, `trials` and `test_records` are checked before any point runs.
-    No axis calls `fit_ts`: each validation set's TS row reuses the shared
-    temperature of its first `fit_cts` and is scored once, so the noise,
-    size and n_val axes make one TS solve per validation set. The gamma
-    axis still makes one per value, inside each `fit_cts`.
+    Every axis makes one TS solve per validation set, shared by its TS row
+    and all of its CTS fits, and scores its TS model once.
     """
     if not (isinstance(axis, str) and axis in SWEEP_AXES):
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -168,11 +166,11 @@ def run_sweep(
         rows = _nval_rows(sorted(values), base, cfg, binning, trials, test_records)
     elif axis == "gamma":
         splits = gen_hetero_logits(base)
-        rows = _rows(splits.val, splits.test, [(float(v), replace(cfg, gamma=v)) for v in values], binning)
+        rows = _rows(splits.val, splits.test, cfg, [(float(v), v) for v in values], binning)
     else:
         spec_for = _spec_for_noise if axis == "noise" else _spec_for_size
         rows = []
         for v in values:
             splits = gen_hetero_logits(spec_for(base, v))
-            rows += _rows(splits.val, splits.test, [(float(v), cfg)], binning)
+            rows += _rows(splits.val, splits.test, cfg, [(float(v), cfg.gamma)], binning)
     return sorted(rows, key=lambda r: (r.axis_value, r.method))

@@ -1,6 +1,7 @@
 """Fitting TS, CTS, and VS; applying models with `predict`; serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -527,6 +528,32 @@ class TestCtsAgainstSubsets:
         classes = np.unique(np.argmax(val.logits, axis=1)).size
         assert len(intervals) == 1 + (classes if gamma > 0 else 0)
         assert set(intervals) == {(cfg.alpha_lo, cfg.alpha_hi)}
+
+
+class TestTemperatureFitsAgainstOneFitPerGamma:
+    """`_temperature_fits` at several gammas gives what `fit_ts` and one `fit_cts` per gamma give.
+
+    It shares one TS solve and one search per class among the gammas. In
+    `[inf, 0.05, 0, inf]` the finite gamma searches the classes below
+    `min_class_samples`, which gamma = inf must neither use nor count.
+    """
+
+    @staticmethod
+    def fields(fit):
+        alphas = fit.model.alphas if isinstance(fit.model, ClassWiseTemperature) else np.array([fit.model.alpha])
+        return alphas.tobytes(), fit.val_nll, fit.iterations, fit.fallback_classes, fit.warnings
+
+    @pytest.mark.parametrize("gammas", [[math.inf], [0.0], [0.5, math.inf], [math.inf, 0.05, 0.0, math.inf]])
+    @pytest.mark.parametrize("min_class_samples", [0, 10, 40])
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_equals_fit_ts_and_one_fit_cts_per_gamma(self, gammas, min_class_samples, seed):
+        val = twelve_class_dataset(seed)
+        cfg = FitConfig(min_class_samples=min_class_samples)
+        ts, fits = calibrate._temperature_fits(val, cfg, gammas)
+        assert self.fields(ts) == self.fields(fit_ts(val, cfg))
+        expected = [fit_cts(val, replace(cfg, gamma=g)) for g in gammas]
+        assert [self.fields(f) for f in fits] == [self.fields(f) for f in expected]
+        assert [f.model.gamma for f in fits] == gammas
 
 
 class TestObjectiveIsTheReportedNll:

@@ -989,12 +989,17 @@ class TestSweep:
         return rows
 
     @staticmethod
-    def class_solves(val, cfg):
-        """Class searches `fit_cts(val, cfg)` runs: one per non-empty predicted class at gamma > 0, less the fallbacks."""
-        if cfg.gamma == 0:
+    def class_solves(val, cfg, gammas):
+        """Class searches `_temperature_fits(val, cfg, gammas)` runs.
+
+        One per non-empty predicted class when some gamma is positive, less
+        the classes below `min_class_samples` when every positive gamma is inf.
+        """
+        positive = [g for g in gammas if g > 0]
+        if not positive:
             return 0
         counts = np.bincount(np.argmax(val.logits, axis=1), minlength=val.num_classes)
-        floor = cfg.min_class_samples if math.isinf(cfg.gamma) else 0
+        floor = cfg.min_class_samples if all(math.isinf(g) for g in positive) else 0
         return int(np.sum((counts > 0) & (counts >= floor)))
 
     @staticmethod
@@ -1035,13 +1040,19 @@ class TestSweep:
         assert run_sweep("n_val", sizes, base, trials=1, test_records=test_records) == expected
 
     def test_gamma_axis_draws_once_and_never_calls_fit_ts(self, monkeypatch):
-        spies = self.spy(monkeypatch, sweep, ("gen_hetero_logits", "fit_ts", "fit_cts"))
+        # One draw, one TS solve and one search per non-empty class, shared by
+        # every gamma; no `fit_ts` or `fit_cts` call.
+        values = [0.0, 0.05, 0.2, 0.5, math.inf]
+        base = self.base_spec(sizes=50)
+        spies = self.spy(monkeypatch, sweep, ("gen_hetero_logits", "fit_ts", "fit_cts", "_temperature_fits"))
         solves = self.spy(monkeypatch, calibrate, ("minimize_scalar",))["minimize_scalar"]
-        rows = run_sweep("gamma", [0.0, 0.05, 0.2, 0.5, math.inf], self.base_spec(sizes=50))
+        rows = run_sweep("gamma", values, base)
         assert {name: spy.call_count for name, spy in spies.items()} == {
-            "gen_hetero_logits": 1, "fit_ts": 0, "fit_cts": 5
+            "gen_hetero_logits": 1, "fit_ts": 0, "fit_cts": 0, "_temperature_fits": 1
         }
-        assert solves.call_count == 5 + sum(self.class_solves(*c.args) for c in spies["fit_cts"].call_args_list)
+        assert spies["_temperature_fits"].call_args.args[2] == values
+        val = gen_hetero_logits(base).val
+        assert solves.call_count == 1 + np.unique(np.argmax(val.logits, axis=1)).size
         assert len(rows) == 10
 
     @pytest.mark.parametrize(
@@ -1053,12 +1064,13 @@ class TestSweep:
         ],
     )
     def test_one_shared_solve_per_validation_set(self, monkeypatch, axis, values, kwargs, validation_sets):
-        spies = self.spy(monkeypatch, sweep, ("fit_ts", "fit_cts"))
+        spies = self.spy(monkeypatch, sweep, ("fit_ts", "fit_cts", "_temperature_fits"))
         solves = self.spy(monkeypatch, calibrate, ("minimize_scalar",))["minimize_scalar"]
         rows = run_sweep(axis, values, self.base_spec(sizes=50), **kwargs)
-        fits = spies["fit_cts"].call_args_list
-        assert (spies["fit_ts"].call_count, len(fits)) == (0, validation_sets)
-        assert solves.call_count - sum(self.class_solves(*c.args) for c in fits) == validation_sets
+        fits = spies["_temperature_fits"].call_args_list
+        assert (spies["fit_ts"].call_count, spies["fit_cts"].call_count, len(fits)) == (0, 0, validation_sets)
+        assert all(c.args[2] == [math.inf] for c in fits)
+        assert solves.call_count == sum(1 + self.class_solves(*c.args) for c in fits)
         assert len(rows) == 2 * len(values)
 
     def test_size_axis_runs(self):

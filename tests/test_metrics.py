@@ -16,6 +16,7 @@ from calibkit.core import (
 )
 from calibkit.calibrate import fit_cts, fit_ts, fit_vs
 from calibkit.errors import ConfigError, EmptyDatasetError, InvalidInputError
+from calibkit.optim import TemperatureProblem, temperature_nll
 from calibkit.metrics import (
     BinningConfig,
     bin_stats,
@@ -294,8 +295,6 @@ class TestNll:
             nll(ds, Vector(np.full(2, 1.7e308), np.zeros(2)))
 
     def test_temperature_derivative_matches_finite_differences(self):
-        from calibkit.optim import TemperatureProblem, temperature_nll
-
         rng = np.random.default_rng(27)
         ds = LogitDataset(rng.normal(size=(200, 5)), rng.integers(0, 5, 200))
         problem = TemperatureProblem.of(ds)
@@ -356,7 +355,12 @@ class TestReport:
 
 
 class TestOnePass:
-    """Every NLL a report gives is the mean of one `predict` pass, and these fits' `val_nll` equals it."""
+    """Every NLL a report gives is the mean of one `predict` pass.
+
+    TS and VS report as `val_nll` exactly that mean on the validation set.
+    CTS reports its class-ordered objective, which `predict`'s record-order
+    mean matches to rounding.
+    """
 
     def test_report_nll_metric_and_fit_agree_exactly(self):
         rng = np.random.default_rng(31)
@@ -367,11 +371,17 @@ class TestOnePass:
         labels = np.minimum((rng.random(4000)[:, None] > np.cumsum(p, axis=1)).sum(axis=1), k - 1)
         val = LogitDataset(logits[:2000] * 1.5, labels[:2000])
         test = LogitDataset(logits[2000:] * 1.5, labels[2000:])
-        for fit in (fit_ts(val), fit_cts(val), fit_vs(val)):
+        cts = fit_cts(val)
+        for fit in (fit_ts(val), cts, fit_vs(val)):
             value = nll(test, fit.model)
             assert compute_report(test, fit.model).nll == value
             assert float(np.mean(predict(test, fit.model).nll)) == value
-            assert fit.val_nll == nll(val, fit.model)
+            if fit is not cts:
+                assert fit.val_nll == nll(val, fit.model)
+        order, starts = class_order(val.top[0], val.num_classes)
+        temperatures = np.repeat(cts.model.alphas, np.diff(starts))[:, None]
+        assert cts.val_nll == temperature_nll(TemperatureProblem.of(val, order), temperatures)[0]
+        assert abs(cts.val_nll - nll(val, cts.model)) <= 4 * np.finfo(float).eps * cts.val_nll
 
     def test_report_predicted_is_the_prediction_pass(self):
         rng = np.random.default_rng(32)
