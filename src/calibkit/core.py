@@ -3,7 +3,7 @@
 Holds the logit dataset and prediction containers, the calibration model
 variants, numerically stable softmax, `softmax_nll` (the library's one NLL
 kernel, which `predict` and both fit objectives in `optim` call), `predict`
-(the single evaluation pass: probabilities, predictions and per-record NLL
+(the single evaluation pass: predictions, confidences and per-record NLL
 from one kernel pass over the calibrated logits), and `class_order`, one
 stable sort that groups the record indices by label: CTS fits group by the
 raw argmax and per-class metrics by the predicted label, each once. Classes
@@ -16,7 +16,10 @@ shifts each row by its top logit, scales the result as the temperature
 solvers in `optim` do, (z - top) * alpha, and predicts the raw top class:
 a temperature model never changes a prediction, with no reduction over
 the rows. Vector scaling may reorder the classes, so it predicts the
-argmax of its probabilities.
+argmax of its calibrated logits and shifts each row by the logit there.
+Either way the predicted class's shifted logit is 0, so its probability,
+the confidence, is 1 over the row's sum of exponentials: no N x K
+probability array is built.
 """
 
 from __future__ import annotations
@@ -77,6 +80,11 @@ def softmax_nll(u: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarr
     np.exp(u, out=u)
     total = u.sum(axis=1)
     return u, total, np.log(total) - u_y
+
+
+def _check_finite(u: np.ndarray) -> None:
+    if not np.all(np.isfinite(u)):
+        raise InvalidInputError("calibrated logits contain NaN or Inf")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -158,34 +166,30 @@ class LogitDataset:
 
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """Per-record probabilities, predicted label, confidence, correctness and NLL.
+    """Per-record predicted label, confidence, correctness and NLL.
 
-    `nll` is each record's negative log-likelihood of its true label,
-    log(sum_k exp(u_k)) - u_y on the max-shifted calibrated logits u. The
-    set holds read-only views of the arrays it is given, not copies: the
-    caller's own arrays stay writeable, and writing through them changes
-    the set.
+    `confidence` is the calibrated probability of the predicted label and
+    `nll` each record's negative log-likelihood of its true label,
+    log(sum_k exp(u_k)) - u_y on the max-shifted calibrated logits u: every
+    metric reads these two and `correct`. The set holds read-only views of
+    the arrays it is given, not copies: the caller's own arrays stay
+    writeable, and writing through them changes the set.
     """
 
-    probs: np.ndarray
     predicted: np.ndarray
     confidence: np.ndarray
     correct: np.ndarray
     nll: np.ndarray
 
     def __post_init__(self):
-        for name in ("probs", "predicted", "confidence", "correct", "nll"):
+        for name in ("predicted", "confidence", "correct", "nll"):
             arr = np.asarray(getattr(self, name)).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def num_records(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.probs.shape[1]
+        return self.predicted.shape[0]
 
     @property
     def accuracy(self) -> float:
@@ -295,10 +299,12 @@ def check_model_classes(model: CalibrationModel, num_classes: int) -> None:
 def predict(dataset: LogitDataset, model: CalibrationModel) -> PredictionSet:
     """Apply a calibration model to every record of a dataset in one pass.
 
-    The calibrated logits are shifted so each row's maximum is 0 and passed
-    once through `softmax_nll`; that one pass gives the probabilities, the
-    confidence, the correctness and the per-record NLL. Raises
-    InvalidInputError if the calibrated logits contain NaN or Inf.
+    The calibrated logits are shifted so the predicted class's entry, each
+    row's maximum, is 0 and passed once through `softmax_nll`. That one
+    pass gives the per-record NLL and each row's sum of exponentials, whose
+    reciprocal is the confidence: exp(0) = 1 exactly, so it is bit for bit
+    the predicted class's normalized probability. Raises InvalidInputError
+    if the calibrated logits contain NaN or Inf.
 
     The temperature variants (Identity, Temperature, ClassWiseTemperature)
     shift first and then scale: each row minus its cached top logit
@@ -311,33 +317,25 @@ def predict(dataset: LogitDataset, model: CalibrationModel) -> PredictionSet:
     100, though alpha * z overflows, and rejects [1e308, -1e308] under every
     temperature model, Identity included, since z - top overflows.
 
-    Vector scaling computes scale * z + bias, checks it, subtracts each
-    row's maximum and predicts the argmax of the probabilities, the lowest
-    class index among ties.
+    Vector scaling computes scale * z + bias, checks it, predicts its
+    argmax, the lowest class index among exact ties, and subtracts the
+    logit there from each row. Two calibrated logits that differ only
+    below `exp`'s rounding keep their order: the larger one is predicted,
+    as a temperature model predicts its raw top class.
     """
     check_model_classes(model, dataset.num_classes)
-    vector = isinstance(model, Vector)
-    if vector:
+    if isinstance(model, Vector):
         u = model.scale * dataset.logits + model.bias
+        _check_finite(u)
+        pred = np.argmax(u, axis=1)
+        u -= u[np.arange(dataset.num_records), pred][:, None]
     else:
         pred, top_logit = dataset.top
         u = dataset.logits - top_logit[:, None]
         u *= model.row_scale(pred)
-    if not np.all(np.isfinite(u)):
-        raise InvalidInputError("calibrated logits contain NaN or Inf")
-    if vector:
-        u -= u.max(axis=1, keepdims=True)
-    probs, total, nll = softmax_nll(u, dataset.labels)
-    probs /= total[:, None]
-    if vector:
-        pred = np.argmax(probs, axis=1)
-    return PredictionSet(
-        probs=probs,
-        predicted=pred,
-        confidence=probs[np.arange(dataset.num_records), pred],
-        correct=pred == dataset.labels,
-        nll=nll,
-    )
+        _check_finite(u)
+    _, total, nll = softmax_nll(u, dataset.labels)
+    return PredictionSet(predicted=pred, confidence=1 / total, correct=pred == dataset.labels, nll=nll)
 
 
 def class_order(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, list[int]]:

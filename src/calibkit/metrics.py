@@ -3,14 +3,16 @@
 Equal-width confidence binning, the binned expected calibration error (ECE),
 its per-predicted-class variants max-ECE and Avg-ECE, negative log-likelihood,
 and reliability-diagram aggregates. Every metric of a (dataset, model) pair
-is read off one `core.predict` pass: the NLL is the mean of its per-record
-`nll` from `core.softmax_nll`, the kernel the fits minimize. Every binned
-number comes from one table and one formula: `_bin_sums` counts records,
-confidence and correct predictions per (group, bin) cell with one
-`np.bincount` triple, and `_eces` turns a table into one ECE per group. The
-whole set is the one-group table; `compute_report` bins the pass once and
-gathers its records in class order for the per-class table, whose maximum
-and mean are max-ECE and Avg-ECE.
+is read off one `core.predict` pass, which holds no probability matrix,
+only each record's prediction, confidence, correctness and NLL: the binned
+metrics read confidence against correctness, and the NLL is the mean of
+the per-record `nll` from `core.softmax_nll`, the kernel the fits
+minimize. Every binned number comes from one table and one formula:
+`_bin_sums` counts records, confidence and correct predictions per (group,
+bin) cell with one `np.bincount` triple, and `_eces` turns a table into
+one ECE per group. The whole set is the one-group table; `compute_report`
+bins the pass once and gathers its records in class order for the
+per-class table, whose maximum and mean are max-ECE and Avg-ECE.
 """
 
 from __future__ import annotations
@@ -203,9 +205,7 @@ def compute_report(
     if dataset.num_records == 0:
         raise EmptyDatasetError("cannot evaluate metrics on an empty dataset")
     preds = predict(dataset, model)
-    num_classes, accuracy, mean_nll, predicted = preds.num_classes, preds.accuracy, preds.mean_nll, preds.predicted
-    confidence, correct = preds.confidence, preds.correct
-    del preds  # the metrics need none of its N x K probabilities
+    num_classes, predicted, confidence, correct = dataset.num_classes, preds.predicted, preds.confidence, preds.correct
     m = binning.num_bins
     bins = binning.bin_indices(confidence)
     (overall_ece,) = _eces(*_bin_sums(bins, confidence, correct, 1, m), np.array([len(bins)]))
@@ -241,11 +241,11 @@ def compute_report(
     eces = [row.ece for row in per_class]
 
     return MetricsReport(
-        accuracy=accuracy,
+        accuracy=preds.accuracy,
         ece=overall_ece,
         max_ece=max(eces),
         avg_ece=float(np.mean(eces)),
-        nll=mean_nll,
+        nll=preds.mean_nll,
         per_class=per_class,
         predicted=predicted,
         warnings=warnings,

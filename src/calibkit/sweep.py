@@ -2,14 +2,17 @@
 
 Each validation set gets one TS solve, and at most one search per predicted
 class, however many gammas it is fitted at: `calibrate._temperature_fits`
-returns its TS fit and one CTS fit per gamma. The noise, size and n_val
-axes draw a validation set per value and fit it at the configured gamma;
-the gamma axis draws one and fits it at every value. The TS row is scored
-once per validation set and repeated at each of its axis values. Rows carry
-the test-set calibration metrics (`nll` is the test NLL) plus the fitted
-model's validation NLL and the gap |val_nll - nll|, the generalization
-signal for the validation-size axis. Points (and n_val trials) run in
-order, and rows are sorted by (axis_value, method).
+returns its TS fit and one CTS fit per gamma. Every axis runs through one
+loop: `_draws` yields a trial's (validation set, test set, points) one draw
+at a time, and `run_sweep` fits and scores each and averages every point's
+rows over the trials. The noise, size and n_val axes draw a validation set
+per value and fit it at the configured gamma; the gamma axis draws one and
+fits it at every value. Only the n_val axis runs more than one trial. The
+TS row is scored once per validation set and repeated at each of its axis
+values. Rows carry the test-set calibration metrics (`nll` is the test
+NLL) plus the fitted model's validation NLL and the gap |val_nll - nll|,
+the generalization signal for the validation-size axis. Trials and points
+run in order, and rows are sorted by (axis_value, method).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class SweepRow:
     nll_gap: float
 
 
-# The SweepRow fields the n_val axis averages over trials.
+# The SweepRow fields `run_sweep` averages over trials.
 _METRICS = [f.name for f in fields(SweepRow) if f.name not in ("axis_value", "method")]
 
 
@@ -86,45 +89,34 @@ def _spec_for_size(base: HeteroLogitSpec, fraction: float) -> HeteroLogitSpec:
     return replace(base, class_sizes=sizes)
 
 
-def _nval_rows(
-    sizes: list[int], base: HeteroLogitSpec, cfg: FitConfig, binning: BinningConfig,
-    trials: int, test_records: int,
-) -> list[SweepRow]:
-    """Trial-averaged rows per validation size.
+def _draws(axis, values, base, cfg, t, test_records):
+    """Trial t's (val, test, points) triples, one draw at a time.
 
-    Within a trial, the validation sets across sizes are per-class prefixes
-    of one pooled draw (common random numbers), which stabilizes the
-    size-to-size comparison of the NLL gap; the test split is a single large
-    independent draw per trial.
+    The gamma axis makes one draw of `base`, with a point per value; the
+    noise and size axes make one draw per value, at `cfg.gamma`. On the n_val
+    axis, trial t's validation sets are per-class prefixes of one pooled
+    draw at seed base.seed + 7919 t (common random numbers, which stabilize
+    the size-to-size comparison of the NLL gap), and its test set is one
+    large independent draw.
     """
-    k = base.num_classes
-    pool_per_class = math.ceil(sizes[-1] / k)
-    test_per_class = test_records // k
-
-    def trial_rows(t: int) -> list[SweepRow]:
-        pool_spec = replace(
-            base, class_sizes=np.full(k, pool_per_class), seed=base.seed + 7919 * t
-        )
-        val_pool = gen_hetero_logits(pool_spec).val
-        test_spec = replace(
-            base, class_sizes=np.full(k, test_per_class), seed=base.seed + 7919 * t + 104729
-        )
-        test = gen_hetero_logits(test_spec).test
+    if axis == "gamma":
+        splits = gen_hetero_logits(base)
+        yield splits.val, splits.test, [(float(v), v) for v in values]
+    elif axis == "n_val":
+        k = base.num_classes
+        pool_per_class = math.ceil(max(values) / k)
+        seed = base.seed + 7919 * t
+        val_pool = gen_hetero_logits(replace(base, class_sizes=np.full(k, pool_per_class), seed=seed)).val
+        test = gen_hetero_logits(replace(base, class_sizes=np.full(k, test_records // k), seed=seed + 104729)).test
         starts = np.arange(k) * pool_per_class
-        rows = []
-        for n_val in sizes:
-            per_class = n_val // k
-            idx = np.concatenate([np.arange(s, s + per_class) for s in starts])
-            rows += _rows(val_pool.subset(idx), test, cfg, [(float(n_val), cfg.gamma)], binning)
-        return rows
-
-    # Every trial yields its rows in the same (size, method) order, so
-    # zipping the trials groups each point's rows in trial order.
-    per_trial = [trial_rows(t) for t in range(trials)]
-    return [
-        replace(group[0], **{name: float(np.mean([getattr(r, name) for r in group])) for name in _METRICS})
-        for group in zip(*per_trial)
-    ]
+        for n_val in values:
+            idx = np.concatenate([np.arange(start, start + n_val // k) for start in starts])
+            yield val_pool.subset(idx), test, [(float(n_val), cfg.gamma)]
+    else:
+        spec_for = _spec_for_noise if axis == "noise" else _spec_for_size
+        for v in values:
+            splits = gen_hetero_logits(spec_for(base, v))
+            yield splits.val, splits.test, [(float(v), cfg.gamma)]
 
 
 def run_sweep(
@@ -146,8 +138,11 @@ def run_sweep(
     (at least 1) seeded trials, each scored on K * (`test_records` // K)
     test records (`test_records` is at least K).
     Every value, `trials` and `test_records` are checked before any point runs.
-    Every axis makes one TS solve per validation set, shared by its TS row
-    and all of its CTS fits, and scores its TS model once.
+    Every axis runs one loop over `_draws`: one trial on noise, size and
+    gamma, `trials` on n_val, with each point's rows averaged over the
+    trials (the mean of one trial is its value, bit for bit). Each
+    validation set gets one TS solve, shared by its TS row and all of its
+    CTS fits, and its TS model is scored once.
     """
     if not (isinstance(axis, str) and axis in SWEEP_AXES):
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -163,14 +158,15 @@ def run_sweep(
         bad = [v for v in values if v % k]
         if bad:
             raise ConfigError(f"validation sizes must be multiples of num_classes {k}, got {bad}")
-        rows = _nval_rows(sorted(values), base, cfg, binning, trials, test_records)
-    elif axis == "gamma":
-        splits = gen_hetero_logits(base)
-        rows = _rows(splits.val, splits.test, cfg, [(float(v), v) for v in values], binning)
-    else:
-        spec_for = _spec_for_noise if axis == "noise" else _spec_for_size
-        rows = []
-        for v in values:
-            splits = gen_hetero_logits(spec_for(base, v))
-            rows += _rows(splits.val, splits.test, cfg, [(float(v), cfg.gamma)], binning)
+    # Every trial yields its rows in the same (point, method) order, so
+    # zipping the trials groups each point's rows in trial order.
+    per_trial = [
+        [row for val, test, points in _draws(axis, values, base, cfg, t, test_records)
+         for row in _rows(val, test, cfg, points, binning)]
+        for t in range(trials if axis == "n_val" else 1)
+    ]
+    rows = [
+        replace(group[0], **{name: float(np.mean([getattr(r, name) for r in group])) for name in _METRICS})
+        for group in zip(*per_trial)
+    ]
     return sorted(rows, key=lambda r: (r.axis_value, r.method))

@@ -207,9 +207,12 @@ def fit_constrained_logistic(atoms: BinaryDataset, counts, radius: float) -> Lin
     the sphere point is the constrained optimum if its outward derivative
     weight . grad_w F is <= 0 (the KKT condition). Otherwise the optimum
     lies inside the ball: the fit minimizes over (weight, intercept) from
-    (0, 0) and raises OptimizationError if the result lies outside. If the
-    two mean atoms coincide, the best constant classifier (weight 0) is the
-    optimum.
+    (0, 0) and raises OptimizationError if the result lies outside. Where
+    the infimum lies at infinity, the outward derivative underflows and its
+    rounding may read > 0; the interior solve then stops early at a worse
+    point, so the fit keeps whichever of the two points has the lower loss.
+    If the two mean atoms coincide, the best constant classifier (weight 0)
+    is the optimum.
 
     L-BFGS compares values of log F, whose rounding (about |margin| * eps)
     hides the last ~1e-7 of the optimum, while its derivatives are exact to
@@ -297,7 +300,7 @@ def fit_constrained_logistic(atoms: BinaryDataset, counts, radius: float) -> Lin
         return p
 
     p = minimize_lbfgs(on_sphere, np.append(direction / math.sqrt(direction @ direction), 0.0)).x
-    p = newton(np.append(radius * p[:d] / math.sqrt(p[:d] @ p[:d]), radius * p[d]), sphere=True)
+    p = sphere = newton(np.append(radius * p[:d] / math.sqrt(p[:d] @ p[:d]), radius * p[d]), sphere=True)
     if p[:d] @ x.T @ log_loss(p[:d], p[d])[1] > 0:
         p = minimize_lbfgs(in_ball, np.zeros(d + 1)).x
         if p[:d] @ p[:d] > radius * radius:
@@ -306,6 +309,8 @@ def fit_constrained_logistic(atoms: BinaryDataset, counts, radius: float) -> Lin
                 f"{math.sqrt(p[:d] @ p[:d])} > radius {radius}"
             )
         p = newton(p, sphere=False)
+        if log_loss(p[:d], p[d])[0] > log_loss(sphere[:d], sphere[d])[0]:
+            p = sphere
     return LinearBinaryClassifier(weight=p[:d], intercept=p[d])
 
 

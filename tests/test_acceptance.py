@@ -40,6 +40,7 @@ from calibkit.synthetic import (
     rare_atom_experiment,
     sample_dnoisy,
 )
+from test_top_logit import label_nlls
 
 
 def sigmoid(z):
@@ -181,7 +182,7 @@ def test_criterion_5_collapse_and_consistency():
 
     # Unit temperature is bitwise identical to no calibration.
     unit = predict(ds, Temperature(1.0))
-    np.testing.assert_array_equal(unit.probs, before.probs)
+    np.testing.assert_array_equal(label_nlls(ds, Temperature(1.0)), label_nlls(ds, Identity()))
     np.testing.assert_array_equal(unit.predicted, before.predicted)
     np.testing.assert_array_equal(unit.confidence, before.confidence)
     np.testing.assert_array_equal(unit.correct, before.correct)

@@ -37,6 +37,7 @@ from calibkit.optim import (
     temperature_nll,
 )
 from calibkit.synthetic import HeteroLogitSpec, gen_hetero_logits
+from test_top_logit import label_nlls
 
 
 def wellspec_dataset(rng, n, k):
@@ -101,7 +102,12 @@ class TestApply:
 
     def test_temperature_one_is_softmax(self):
         z = np.array([1.5, -0.5, 0.25])
-        np.testing.assert_array_equal(predict(one_record(z), Temperature(1.0)).probs[0], softmax(z))
+        u = z - z.max()
+        for y in range(3):
+            preds = predict(LogitDataset(z[None], np.array([y])), Temperature(1.0))
+            assert preds.confidence[0] == softmax(z).max()
+            # -log softmax(z)[y], in the log-sum-exp form that never takes log(0).
+            assert preds.nll[0] == np.log(np.exp(u).sum()) - u[y]
 
     def test_classwise_with_equal_alphas_collapses(self):
         z = np.array([0.3, 2.0, -1.0])
@@ -110,15 +116,14 @@ class TestApply:
         for shift in range(3):
             ds = one_record(np.roll(z, shift))
             assert predict(ds, Identity()).predicted[0] == (1 + shift) % 3
-            np.testing.assert_array_equal(
-                predict(ds, cw).probs, predict(ds, Temperature(0.7)).probs
-            )
+            np.testing.assert_array_equal(predict(ds, cw).confidence, predict(ds, Temperature(0.7)).confidence)
+            np.testing.assert_array_equal(label_nlls(ds, cw), label_nlls(ds, Temperature(0.7)))
 
     def test_identity_vector_scaling(self):
         z = np.array([0.2, -0.4])
-        np.testing.assert_array_equal(
-            predict(one_record(z), Vector(np.ones(2), np.zeros(2))).probs[0], softmax(z)
-        )
+        vs = Vector(np.ones(2), np.zeros(2))
+        assert predict(one_record(z), vs).confidence[0] == softmax(z).max()
+        np.testing.assert_array_equal(label_nlls(one_record(z), vs), label_nlls(one_record(z), Identity()))
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(InvalidModelError):
@@ -166,8 +171,8 @@ class TestFitTS:
         alpha_scaled = fit_ts(scaled).model.alpha
         assert abs(alpha_scaled - alpha / 3.0) <= 0.02
         # Same calibrated probabilities either way, up to optimizer tolerance.
-        p1 = predict(val, Temperature(alpha)).probs
-        p2 = predict(scaled, Temperature(alpha_scaled)).probs
+        p1 = np.exp(-label_nlls(val, Temperature(alpha)))
+        p2 = np.exp(-label_nlls(scaled, Temperature(alpha_scaled)))
         np.testing.assert_allclose(p1, p2, atol=1e-4)
 
     def test_matches_grid_search(self):

@@ -27,6 +27,7 @@ from calibkit.errors import (
 )
 from calibkit.optim import nll_grad_vector
 from calibkit.synthetic import BinaryDataset, HeteroLogitSpec, gen_hetero_logits
+from test_top_logit import label_nlls
 
 # softmax([1, 2, 3]) evaluated at 50 decimal digits, rounded to float64.
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
@@ -122,12 +123,23 @@ class TestArgmaxTiebreak:
         model = Vector(np.ones(3), np.array([0.0, 1.0, 0.0]))
         assert predicted_label([0.0, 1.0, 2.0], model) == 1
 
+    def test_identity_vector_predicts_its_calibrated_argmax(self):
+        # exp(-1e-16) and exp(0) give probabilities that round to one value,
+        # but the logits differ: the identity vector model predicts class 1,
+        # the top logit, as Identity does.
+        ds = LogitDataset(np.array([[-1e-16, 0.0, -2.999]]), np.array([1]))
+        vector, identity = predict(ds, Vector(np.ones(3), np.zeros(3))), predict(ds, Identity())
+        assert vector.predicted.tolist() == identity.predicted.tolist() == [1]
+        np.testing.assert_array_equal(vector.confidence, identity.confidence)
+        np.testing.assert_array_equal(vector.correct, identity.correct)
+
     def test_tied_raw_logits_route_to_lowest_class(self):
         z = np.array([[1.0, 1.0, 0.0]])
         ds = LogitDataset(z, np.array([0]))
         cw = ClassWiseTemperature(1.0, np.array([2.0, 0.5, 1.0]), np.inf)
         preds = predict(ds, cw)
-        np.testing.assert_array_equal(preds.probs, predict(ds, Temperature(2.0)).probs)
+        np.testing.assert_array_equal(preds.confidence, predict(ds, Temperature(2.0)).confidence)
+        np.testing.assert_array_equal(label_nlls(ds, cw), label_nlls(ds, Temperature(2.0)))
         assert preds.predicted[0] == 0
 
 
@@ -270,7 +282,7 @@ class TestPredict:
         ds = LogitDataset(rng.normal(size=(500, 6)), rng.integers(0, 6, 500))
         a = predict(ds, Identity())
         b = predict(ds, Temperature(1.0))
-        np.testing.assert_array_equal(a.probs, b.probs)
+        np.testing.assert_array_equal(label_nlls(ds, Identity()), label_nlls(ds, Temperature(1.0)))
         np.testing.assert_array_equal(a.predicted, b.predicted)
         np.testing.assert_array_equal(a.confidence, b.confidence)
 
@@ -292,7 +304,8 @@ class TestPredict:
         model = Vector(np.full(5, 1.3), np.linspace(-1, 1, 5))
         a = predict(ds, model)
         b = predict(ds, model)
-        np.testing.assert_array_equal(a.probs, b.probs)
+        np.testing.assert_array_equal(label_nlls(ds, model), label_nlls(ds, model))
+        np.testing.assert_array_equal(a.confidence, b.confidence)
         np.testing.assert_array_equal(a.predicted, b.predicted)
 
     def test_confidence_never_below_uniform(self):
@@ -312,27 +325,29 @@ class TestPredict:
 
     def test_classwise_routes_by_raw_prediction(self):
         # Second record is predicted class 1 by the raw logits, so the
-        # class-1 temperature must be the one applied to it.
-        ds = LogitDataset(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([0, 1]))
+        # class-1 temperature must be the one applied to it. Each label is the
+        # unpredicted class, so with the confidence it pins both probabilities.
+        ds = LogitDataset(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([1, 0]))
         model = ClassWiseTemperature(1.0, np.array([1.0, 3.0]), np.inf)
         preds = predict(ds, model)
-        np.testing.assert_allclose(preds.probs[0], softmax([2.0, 0.0]), rtol=1e-15)
-        np.testing.assert_allclose(preds.probs[1], softmax([0.0, 6.0]), rtol=1e-15)
+        p0, p1 = softmax([2.0, 0.0]), softmax([0.0, 6.0])
+        np.testing.assert_allclose(preds.confidence, [p0[0], p1[1]], rtol=1e-15)
+        np.testing.assert_allclose(preds.nll, -np.log([p0[1], p1[0]]), rtol=1e-15)
 
     def test_fields_are_read_only_views_not_copies(self):
         rng = np.random.default_rng(8)
         ds = LogitDataset(rng.normal(size=(50, 3)), rng.integers(0, 3, 50))
         preds = predict(ds, Temperature(1.3))
-        for name in ("probs", "predicted", "confidence", "correct", "nll"):
+        for name in ("predicted", "confidence", "correct", "nll"):
             field = getattr(preds, name)
             assert not field.flags.writeable
             with pytest.raises(ValueError):
                 field[0] = field[0]
-        probs = np.array([[0.75, 0.25]])
-        given = PredictionSet(probs, np.array([0]), np.array([0.75]), np.array([True]), np.array([0.3]))
-        assert probs.flags.writeable
-        assert not given.probs.flags.writeable
-        assert np.shares_memory(given.probs, probs)
+        confidence = np.array([0.75])
+        given = PredictionSet(np.array([0]), confidence, np.array([True]), np.array([0.3]))
+        assert confidence.flags.writeable
+        assert not given.confidence.flags.writeable
+        assert np.shares_memory(given.confidence, confidence)
 
 
 def class_runs(labels, num_classes):
@@ -376,9 +391,11 @@ class TestSplitByPredicted:
     def test_per_record_nll_is_minus_log_probability_of_label(self):
         rng = np.random.default_rng(7)
         ds = LogitDataset(rng.normal(size=(400, 5)) * 3, rng.integers(0, 5, 400))
-        for model in (Identity(), Temperature(0.4), Vector(np.linspace(0.5, 2, 5), np.linspace(-1, 1, 5))):
+        scale, bias = np.linspace(0.5, 2, 5), np.linspace(-1, 1, 5)
+        z = ds.logits
+        for model, calibrated in ((Identity(), z), (Temperature(0.4), 0.4 * z), (Vector(scale, bias), scale * z + bias)):
             preds = predict(ds, model)
-            expected = -np.log(preds.probs[np.arange(400), ds.labels])
+            expected = -np.log(softmax(calibrated)[np.arange(400), ds.labels])
             np.testing.assert_allclose(preds.nll, expected, rtol=1e-12, atol=1e-15)
             assert not preds.nll.flags.writeable
 

@@ -392,7 +392,7 @@ class TestOnePass:
         assert not report.predicted.flags.writeable
 
 
-def reference_per_class(preds, num_bins):
+def reference_per_class(preds, num_classes, num_bins):
     """(class, count, ece, accuracy, mean confidence) per predicted class, one gather each.
 
     Each class's records are taken with `np.flatnonzero` and binned here:
@@ -400,7 +400,7 @@ def reference_per_class(preds, num_bins):
     weighted gaps of the occupied bins in bin order.
     """
     rows = []
-    for k in range(preds.num_classes):
+    for k in range(num_classes):
         idx = np.flatnonzero(preds.predicted == k)
         if idx.size == 0:
             continue
@@ -457,7 +457,7 @@ class TestPerClassReport:
             assert preds.predicted[0] != ds.top[0][0]
 
         report = compute_report(ds, model, BinningConfig(num_bins))
-        want = reference_per_class(preds, num_bins)
+        want = reference_per_class(preds, k, num_bins)
         got = [(r.class_index, r.count, r.ece, r.accuracy, r.mean_confidence) for r in report.per_class]
         assert [row[:2] for row in got] == [row[:2] for row in want]
         assert all(type(row[1]) is int for row in got)

@@ -44,6 +44,17 @@ def reference_predict(ds, model):
     return probs, pred, probs[np.arange(ds.num_records), pred], pred == ds.labels, nll
 
 
+def label_nlls(ds, model):
+    """`predict`'s NLL of every class as each record's label, (N, K): minus its log-probabilities."""
+    n, k = ds.logits.shape
+    return np.stack([predict(LogitDataset(ds.logits, np.full(n, c)), model).nll for c in range(k)], axis=1)
+
+
+def reference_label_nlls(ds, model):
+    n, k = ds.logits.shape
+    return np.stack([reference_predict(LogitDataset(ds.logits, np.full(n, c)), model)[4] for c in range(k)], axis=1)
+
+
 def reference_temperature_nll(ds, alpha):
     z, y = ds.logits, ds.labels
     u = z - z.max(axis=1, keepdims=True)
@@ -113,9 +124,12 @@ class TestPredictMatchesReference:
             assert got is want
             return
         assert not isinstance(got, type), got
-        fields = (got.probs, got.predicted, got.confidence, got.correct, got.nll)
-        for name, a, b in zip(("probs", "predicted", "confidence", "correct", "nll"), fields, want):
+        fields = (got.predicted, got.confidence, got.correct, got.nll)
+        for name, a, b in zip(("predicted", "confidence", "correct", "nll"), fields, want[1:]):
             assert same_bits(a, b), name
+        # Every class's log-probability, one label at a time.
+        with np.errstate(all="ignore"):
+            assert same_bits(label_nlls(ds, model), reference_label_nlls(ds, model))
         want_mean = outcome(lambda: float(np.mean(want[4])))
         got_mean = outcome(lambda: got.mean_nll)
         if np.isfinite(want_mean):
@@ -132,7 +146,8 @@ class TestPredictMatchesReference:
         for model in (Identity(), Temperature(0.7), ClassWiseTemperature(1.0, np.array([0.5, 3.0]), np.inf)):
             preds = predict(ds, model)
             assert preds.predicted.tolist() == [1, 1, 0]
-            assert preds.probs[0, 0] == preds.probs[0, 1] == preds.confidence[0]
+            probs = reference_predict(ds, model)[0]
+            assert probs[0, 0] == probs[0, 1] == preds.confidence[0]
 
     def test_scaled_overflow_is_rejected_like_the_reference(self):
         # (z - top) * 100 overflows in the first row. In the second, 0.01 * z
@@ -144,10 +159,12 @@ class TestPredictMatchesReference:
                 predict(ds, model)
 
     def test_scaling_the_shifted_logits_keeps_them_finite(self):
-        # 100 * z overflows, but (z - top) * 100 = [0, -1e307] does not.
-        ds = LogitDataset(np.array([[1e307, 0.99e307]]), np.array([0]))
+        # 100 * z overflows, but (z - top) * 100 = [0, -1e307] does not. The
+        # label is the other class, whose probability exp(-1e307) is 0.
+        ds = LogitDataset(np.array([[1e307, 0.99e307]]), np.array([1]))
         preds = predict(ds, Temperature(100.0))
-        assert preds.predicted.tolist() == [0] and preds.probs.tolist() == [[1.0, 0.0]]
+        assert preds.predicted.tolist() == [0] and preds.confidence.tolist() == [1.0]
+        assert preds.nll.tolist() == [(1e307 - 0.99e307) * 100.0]
 
 
 class TestTemperatureNllMatchesReference:
@@ -225,6 +242,7 @@ class TestTopPair:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and not errors
         for preds, (top_class, top_logit) in results:
-            assert same_bits(preds.probs, want[0]) and same_bits(preds.predicted, want[1])
+            fields = (preds.predicted, preds.confidence, preds.correct, preds.nll)
+            assert all(same_bits(a, b) for a, b in zip(fields, want[1:]))
             assert same_bits(top_class, np.argmax(logits[idx], axis=1))
             assert same_bits(top_logit, logits[idx].max(axis=1))
