@@ -271,13 +271,18 @@ def cmd_synth(args) -> int:
         )
     else:
         spec = _hetero_spec(args)
-        splits = gen_hetero_logits(spec)
         stem, ext = os.path.splitext(args.out)
         files = []
-        for name in ("train", "val", "test"):
-            path = f"{stem}.{name}{ext or '.csv'}"
-            kio.write_logit_csv(getattr(splits, name), path)
-            files.append(path)
+        # One split in memory at a time; a split that fails takes the files written before it.
+        try:
+            for name in ("train", "val", "test"):
+                path = f"{stem}.{name}{ext or '.csv'}"
+                kio.write_logit_csv(getattr(gen_hetero_logits(spec, splits=(name,)), name), path)
+                files.append(path)
+        except BaseException:
+            for path in files:
+                os.remove(path)
+            raise
         sidecar.update(
             {
                 "num_classes": spec.num_classes,

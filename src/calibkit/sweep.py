@@ -9,10 +9,12 @@ rows over the trials. The noise, size and n_val axes draw a validation set
 per value and fit it at the configured gamma; the gamma axis draws one and
 fits it at every value. Only the n_val axis runs more than one trial. The
 TS row is scored once per validation set and repeated at each of its axis
-values. Rows carry the test-set calibration metrics (`nll` is the test
-NLL) plus the fitted model's validation NLL and the gap |val_nll - nll|,
-the generalization signal for the validation-size axis. Trials and points
-run in order, and rows are sorted by (axis_value, method).
+values. Each draw generates only the validation and test splits it reads,
+each from its own seeded stream (see `synthetic.gen_hetero_logits`). Rows
+carry the test-set calibration metrics (`nll` is the test NLL) plus the
+fitted model's validation NLL and the gap |val_nll - nll|, the
+generalization signal for the validation-size axis. Trials and points run
+in order, and rows are sorted by (axis_value, method).
 """
 
 from __future__ import annotations
@@ -92,22 +94,28 @@ def _spec_for_size(base: HeteroLogitSpec, fraction: float) -> HeteroLogitSpec:
 def _draws(axis, values, base, cfg, t, test_records):
     """Trial t's (val, test, points) triples, one draw at a time.
 
-    The gamma axis makes one draw of `base`, with a point per value; the
-    noise and size axes make one draw per value, at `cfg.gamma`. On the n_val
-    axis, trial t's validation sets are per-class prefixes of one pooled
-    draw at seed base.seed + 7919 t (common random numbers, which stabilize
-    the size-to-size comparison of the NLL gap), and its test set is one
-    large independent draw.
+    Each draw asks the generator only for the splits it reads; no axis
+    reads a train split. The gamma axis makes one draw of `base`, with a
+    point per value; the noise and size axes make one draw per value, at
+    `cfg.gamma`. Every split has its own stream, so the noise axis's draws
+    share their logits (common random numbers) and differ only in the
+    labels of the noisy classes. On the n_val axis, trial t's validation
+    sets are per-class prefixes of one pooled validation draw at seed
+    base.seed + 7919 t (common random numbers, which stabilize the
+    size-to-size comparison of the NLL gap), and its test set is one large
+    independent test draw.
     """
     if axis == "gamma":
-        splits = gen_hetero_logits(base)
+        splits = gen_hetero_logits(base, splits=("val", "test"))
         yield splits.val, splits.test, [(float(v), v) for v in values]
     elif axis == "n_val":
         k = base.num_classes
         pool_per_class = math.ceil(max(values) / k)
         seed = base.seed + 7919 * t
-        val_pool = gen_hetero_logits(replace(base, class_sizes=np.full(k, pool_per_class), seed=seed)).val
-        test = gen_hetero_logits(replace(base, class_sizes=np.full(k, test_records // k), seed=seed + 104729)).test
+        val_pool = gen_hetero_logits(replace(base, class_sizes=np.full(k, pool_per_class), seed=seed),
+                                     splits=("val",)).val
+        test = gen_hetero_logits(replace(base, class_sizes=np.full(k, test_records // k), seed=seed + 104729),
+                                 splits=("test",)).test
         starts = np.arange(k) * pool_per_class
         for n_val in values:
             idx = np.concatenate([np.arange(start, start + n_val // k) for start in starts])
@@ -115,7 +123,7 @@ def _draws(axis, values, base, cfg, t, test_records):
     else:
         spec_for = _spec_for_noise if axis == "noise" else _spec_for_size
         for v in values:
-            splits = gen_hetero_logits(spec_for(base, v))
+            splits = gen_hetero_logits(spec_for(base, v), splits=("val", "test"))
             yield splits.val, splits.test, [(float(v), cfg.gamma)]
 
 

@@ -13,7 +13,9 @@ Three constructions drive the numerical theory checks:
   and a large intercept of that label's sign;
 * a heterogeneous logit generator standing in for deep-network experiments:
   per-class logit scales make classes over-confident (scale > 1) or
-  under-confident (scale < 1) while leaving accuracy untouched.
+  under-confident (scale < 1) while leaving accuracy untouched. Its train,
+  val and test splits each draw from their own child stream of the spec's
+  seed, so a caller draws only the splits it reads.
 
 All sampling flows through explicit integer seeds (PCG64); identical seeds
 give bit-identical datasets within this package.
@@ -22,6 +24,7 @@ give bit-identical datasets within this package.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -418,7 +421,8 @@ class HeteroLogitSpec:
     `margin` (noise variance equal to the margin, which makes the softmax of
     the unscaled scores the exact posterior of the generative model), flips
     its label to a uniformly random class with probability `noise_rates[k]`,
-    and emits the scores multiplied by `scales[k]`.
+    and emits the scores multiplied by `scales[k]`. `seed` pins every split:
+    each draws from its own child of `np.random.SeedSequence(seed)`.
     """
 
     num_classes: int
@@ -445,16 +449,43 @@ class HeteroLogitSpec:
 
 @dataclass(frozen=True)
 class HeteroSplits:
+    """The train, val and test splits of one spec; a split that was not asked for is empty, with K columns."""
+
     train: LogitDataset
     val: LogitDataset
     test: LogitDataset
 
 
-def _gen_split(spec: HeteroLogitSpec, rng: np.random.Generator) -> LogitDataset:
+# The split names in stream order: split i draws from child i of the spec's seed.
+_SPLITS = ("train", "val", "test")
+
+
+def _check_splits(splits) -> None:
+    """Raise unless `splits` is a non-empty sequence of distinct names from `_SPLITS`."""
+    if isinstance(splits, (str, bytes)) or not isinstance(splits, Sequence):
+        raise ConfigError(f"splits must be a sequence of names from {_SPLITS}, got {splits!r}")
+    if not splits:
+        raise ConfigError(f"splits must name at least one split, got {splits!r}")
+    unknown = [s for s in splits if not (isinstance(s, str) and s in _SPLITS)]
+    if unknown:
+        raise ConfigError(f"splits must be names from {_SPLITS}, got {unknown[0]!r}")
+    repeated = [s for i, s in enumerate(splits) if s in splits[:i]]
+    if repeated:
+        raise ConfigError(f"splits must name each split at most once, got {repeated[0]!r} twice")
+
+
+def _gen_split(spec: HeteroLogitSpec, seed: np.random.SeedSequence) -> LogitDataset:
+    """One split, drawn class by class from its own stream.
+
+    Each class draws its normals, then one flip uniform and one replacement
+    label per record, so the number of draws never depends on the noise
+    rates: specs that differ only in their rates share every logit.
+    """
+    rng = np.random.default_rng(seed)
     k = spec.num_classes
     std = math.sqrt(spec.margin)
     logits = np.empty((int(spec.class_sizes.sum()), k))
-    labels = np.repeat(np.arange(k), spec.class_sizes)
+    labels = np.repeat(np.arange(k, dtype=np.int64), spec.class_sizes)
     ends = np.cumsum(spec.class_sizes)
     for c in range(k):
         n_c = int(spec.class_sizes[c])
@@ -467,19 +498,26 @@ def _gen_split(spec: HeteroLogitSpec, rng: np.random.Generator) -> LogitDataset:
         scores[:, c] += spec.margin
         scores *= spec.scales[c]
         flip = rng.random(n_c) < spec.noise_rates[c]
-        labels[ends[c] - n_c:ends[c]][flip] = rng.integers(0, k, size=int(flip.sum()))
-    return LogitDataset(logits=logits, labels=labels)
+        replacements = rng.integers(0, k, size=n_c)
+        labels[ends[c] - n_c:ends[c]][flip] = replacements[flip]
+    # Large scales overflow; the extremes decide finiteness, with the constructor's message.
+    check_array("logits", (logits.min(), logits.max()), error=InvalidInputError)
+    return LogitDataset._adopt(logits, labels)
 
 
-def gen_hetero_logits(spec: HeteroLogitSpec) -> HeteroSplits:
-    """Generate train/val/test splits, each with class_sizes[k] records per class.
+def gen_hetero_logits(spec: HeteroLogitSpec, splits=_SPLITS) -> HeteroSplits:
+    """Draw the named splits of `spec`, each with class_sizes[k] records per class.
 
-    The three splits are drawn sequentially from one seeded stream, so a
-    spec's seed pins all of them at once.
+    Split i of ("train", "val", "test") draws from its own stream, child i
+    of `np.random.SeedSequence(spec.seed)`, so a spec's seed pins every
+    split, and a split's values do not depend on which other splits are
+    drawn. `splits` is a non-empty sequence of distinct split names; the
+    splits it leaves out come back empty, with K columns.
     """
-    rng = np.random.default_rng(spec.seed)
-    return HeteroSplits(
-        train=_gen_split(spec, rng),
-        val=_gen_split(spec, rng),
-        test=_gen_split(spec, rng),
-    )
+    _check_splits(splits)
+    streams = np.random.SeedSequence(spec.seed).spawn(len(_SPLITS))
+    empty = np.empty((0, spec.num_classes))
+    return HeteroSplits(*(
+        _gen_split(spec, stream) if name in splits else LogitDataset._adopt(empty, np.empty(0, dtype=np.int64))
+        for name, stream in zip(_SPLITS, streams)
+    ))

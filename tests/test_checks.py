@@ -95,6 +95,7 @@ ENTRY_POINTS = {
                               "test_records": 30}),
     "run_sweep n_val": (run_sweep, {"axis": "n_val", "values": [3, 6], "base": hetero(), "trials": 2,
                                     "test_records": 30}),
+    "gen_hetero_logits": (synthetic.gen_hetero_logits, {"spec": hetero(), "splits": ("val", "test")}),
 }
 # The work each entry point starts once its inputs pass, stopped by `accepted`.
 WORK = [
@@ -204,6 +205,17 @@ PROBES = [
     ("fit_constrained_logistic", {"counts": [1, 1, 1]}, ConfigError,
      "counts must be a 1-D array of length 2, got shape (3,)"),
     ("fit_constrained_logistic", {"counts": [0, 0]}, ConfigError, "counts must have a positive total, got [0, 0]"),
+    ("gen_hetero_logits", {"splits": "val"}, ConfigError,
+     "splits must be a sequence of names from ('train', 'val', 'test'), got 'val'"),
+    ("gen_hetero_logits", {"splits": None}, ConfigError,
+     "splits must be a sequence of names from ('train', 'val', 'test'), got None"),
+    ("gen_hetero_logits", {"splits": ("val", "dev")}, ConfigError,
+     "splits must be names from ('train', 'val', 'test'), got 'dev'"),
+    ("gen_hetero_logits", {"splits": ["test", 1]}, ConfigError,
+     "splits must be names from ('train', 'val', 'test'), got 1"),
+    ("gen_hetero_logits", {"splits": ("val", "test", "val")}, ConfigError,
+     "splits must name each split at most once, got 'val' twice"),
+    ("gen_hetero_logits", {"splits": ()}, ConfigError, "splits must name at least one split, got ()"),
 ]
 
 

@@ -870,6 +870,40 @@ class TestSynthCommand:
         files = json.loads((tmp_path / "h.json").read_text())["files"]
         assert len(files) == 3
 
+    def test_hetero_holds_one_split_at_a_time(self, tmp_path, monkeypatch):
+        spy = mock.Mock(wraps=cli.gen_hetero_logits)
+        monkeypatch.setattr(cli, "gen_hetero_logits", spy)
+        argv = ["synth", "--kind", "hetero", "--classes", "10", "--sizes", "2000", "--seed", "5",
+                "--out", str(tmp_path / "h.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.kwargs["splits"] for c in spy.call_args_list] == [("train",), ("val",), ("test",)]
+        # One split's logits and labels, plus the writer's and the parser's
+        # small allocations: well below the three splits held at once.
+        one_split = 20_000 * (10 + 1) * 8
+        assert peak < 2 * one_split
+        spec = cli._hetero_spec(cli.build_parser().parse_args(argv))
+        assert read_logit_csv(str(tmp_path / "h.val.csv")).logits.tobytes() == (
+            gen_hetero_logits(spec).val.logits.tobytes())
+
+    def test_hetero_overflow_exits_2_and_writes_nothing(self, tmp_path):
+        code, err = run_main(["synth", "--kind", "hetero", "--seed", "1", "--classes", "3", "--sizes", "5",
+                              "--scales", "1e308", "--margin", "4", "--out", str(tmp_path / "ov.csv")])
+        assert (code, err) == (2, "error: logits must be real numbers in (-inf, inf), got -inf\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_hetero_split_that_fails_removes_the_files_before_it(self, tmp_path):
+        # At this scale only the larger draws overflow: seed 5's train and val
+        # splits are finite and are written, its test split is not.
+        code, err = run_main(["synth", "--kind", "hetero", "--seed", "5", "--classes", "3", "--sizes", "100",
+                              "--scales", "1.7e307", "--margin", "4", "--out", str(tmp_path / "h.csv")])
+        assert (code, err) == (2, "error: logits must be real numbers in (-inf, inf), got inf\n")
+        assert not list(tmp_path.iterdir())
+
     def test_theorem1_writes_trial_table(self, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["synth", "--kind", "theorem1", "--n", "10", "--epsilon", "0.01",
@@ -1072,6 +1106,55 @@ class TestSweep:
         assert all(c.args[2] == [math.inf] for c in fits)
         assert solves.call_count == sum(1 + self.class_solves(*c.args) for c in fits)
         assert len(rows) == 2 * len(values)
+
+    @staticmethod
+    def record_draws(monkeypatch):
+        """The spec and the returned splits of every `sweep.gen_hetero_logits` call, appended to the returned list."""
+        draws, real = [], sweep.gen_hetero_logits
+
+        def recording(spec, **kwargs):
+            result = real(spec, **kwargs)
+            draws.append((spec, result))
+            return result
+
+        monkeypatch.setattr(sweep, "gen_hetero_logits", recording)
+        return draws
+
+    @pytest.mark.parametrize("trials, values, test_records", [(1, [40, 8], 803), (3, [12, 100, 60], 400)])
+    def test_nval_axis_draws_one_pool_and_one_test_split_per_trial(self, monkeypatch, trials, values, test_records):
+        k = 4
+        draws = self.record_draws(monkeypatch)
+        run_sweep("n_val", values, self.base_spec(), trials=trials, test_records=test_records)
+        assert len(draws) == 2 * trials
+        drawn = sum(s.train.num_records + s.val.num_records + s.test.num_records for _, s in draws)
+        assert drawn == trials * (
+            k * math.ceil(max(values) / k) + k * (test_records // k))
+
+    @pytest.mark.parametrize("axis, values", [("noise", [0.4, 0.0, 0.2]), ("size", [0.2, 1.0, 0.6]),
+                                              ("gamma", [0.0, 0.5, math.inf])])
+    def test_other_axes_draw_val_and_test_only(self, monkeypatch, axis, values):
+        draws = self.record_draws(monkeypatch)
+        run_sweep(axis, values, self.base_spec(sizes=50))
+        assert len(draws) == (1 if axis == "gamma" else len(values))
+        for spec, splits in draws:
+            per_split = int(spec.class_sizes.sum())
+            assert (splits.train.num_records, splits.val.num_records, splits.test.num_records) == (
+                0, per_split, per_split)
+
+    def test_noise_axis_shares_logits_and_flips_only_the_noisy_half(self):
+        # Common random numbers: every noise value of one seed draws the same
+        # logits, and the labels of the noiseless classes 2 and 3 (rate 0.2 on
+        # class 3) stay as they are.
+        base = replace(self.base_spec(sizes=300), noise_rates=np.array([0.0, 0.0, 0.0, 0.2]))
+        draws = [gen_hetero_logits(sweep._spec_for_noise(base, rho)) for rho in (0.0, 0.1, 0.3)]
+        for name in ("train", "val", "test"):
+            first = getattr(draws[0], name)
+            for other in draws[1:]:
+                split = getattr(other, name)
+                assert split.logits.tobytes() == first.logits.tobytes()
+                assert split.labels[600:].tobytes() == first.labels[600:].tobytes()
+                assert (split.labels[:600] != first.labels[:600]).any()
+            assert (first.labels[:600] == np.repeat([0, 1], 300)).all()
 
     def test_size_axis_runs(self):
         rows = run_sweep("size", [0.1, 1.0], self.base_spec())

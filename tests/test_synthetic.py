@@ -1,6 +1,8 @@
 """Synthetic constructions: two-atom noisy data, rare-atom fits, hetero logits."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from calibkit import synthetic
-from calibkit.core import Identity, predict, softmax
-from calibkit.errors import ConfigError, DegenerateNoiseError
+from calibkit.core import Identity, LogitDataset, predict, softmax
+from calibkit.errors import ConfigError, DegenerateNoiseError, InvalidInputError
 from calibkit.metrics import BinningConfig, compute_report
 from calibkit.optim import GradientProblem, minimize_lbfgs, projected_gd
 from calibkit.synthetic import (
@@ -560,3 +562,72 @@ class TestGenHeteroLogits:
             with pytest.raises(ConfigError) as info:
                 hetero_spec(scales=scales)
             assert str(info.value) == f"scales must be real numbers in (0, inf), got {bad!r}"
+
+
+SPLITS = ("train", "val", "test")
+
+
+@st.composite
+def small_hetero_specs(draw):
+    """Specs of 2-4 classes with 0-6 records each (at least one in all), any scales, rates and seed."""
+    k = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(any))
+    scales = draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))
+    rates = draw(st.lists(st.sampled_from([0.0, 0.3, 0.9]), min_size=k, max_size=k))
+    return HeteroLogitSpec(k, np.array(sizes), np.array(scales), np.array(rates), draw(st.floats(0.5, 9.0)),
+                           draw(st.integers(0, 2**32)))
+
+
+class TestSplitStreams:
+    """Each split draws from its own child of the spec's seed, and only the splits asked for are drawn."""
+
+    @given(spec=small_hetero_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_each_subset_gives_the_same_splits_and_empty_others(self, spec):
+        full = gen_hetero_logits(spec)
+        for r in range(1, 4):
+            for subset in itertools.permutations(SPLITS, r):
+                splits = gen_hetero_logits(spec, splits=subset)
+                for name in SPLITS:
+                    got, want = getattr(splits, name), getattr(full, name)
+                    if name in subset:
+                        assert got.logits.tobytes() == want.logits.tobytes()
+                        assert got.labels.tobytes() == want.labels.tobytes()
+                    else:
+                        assert (got.num_records, got.num_classes) == (0, spec.num_classes)
+
+    @pytest.mark.parametrize("index, name", list(enumerate(SPLITS)))
+    def test_split_i_draws_from_child_i_of_the_seed(self, index, name):
+        # Class 0 comes first: its normals, scaled as scale * (std * z + margin e_0).
+        spec = hetero_spec(class_sizes=np.full(10, 7), scales=np.full(10, 1.5), seed=123)
+        z = np.random.default_rng(np.random.SeedSequence(123).spawn(3)[index]).standard_normal((7, 10))
+        z *= math.sqrt(2.0)
+        z[:, 0] += 2.0
+        z *= 1.5
+        got = getattr(gen_hetero_logits(spec, splits=(name,)), name)
+        assert got.logits[:7].tobytes() == z.tobytes()
+
+    def test_splits_are_adopted_without_a_copy_or_a_recheck(self, monkeypatch):
+        spec = hetero_spec(class_sizes=np.full(10, 500))
+        tracemalloc.start()
+        try:
+            splits = gen_hetero_logits(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = [a for ds in (splits.train, splits.val, splits.test) for a in (ds.logits, ds.labels)]
+        # The three splits' arrays and one class's draws, with no second copy of any split.
+        assert peak < 1.1 * sum(a.nbytes for a in held)
+        assert not any(a.flags.writeable for a in held)
+
+        def checked_again(self):
+            raise AssertionError("gen_hetero_logits copied or re-checked its records")
+
+        monkeypatch.setattr(LogitDataset, "__post_init__", checked_again)
+        assert gen_hetero_logits(spec).val.logits.tobytes() == splits.val.logits.tobytes()
+
+    def test_overflow_raises_the_dataset_error(self):
+        spec = HeteroLogitSpec(3, np.full(3, 5), np.full(3, 1e308), np.zeros(3), 4.0, 1)
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError) as info:
+            gen_hetero_logits(spec, splits=("val",))
+        assert str(info.value) == "logits must be real numbers in (-inf, inf), got -inf"
